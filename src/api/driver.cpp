@@ -263,13 +263,17 @@ OptimizeCommandResult run_optimize_command(const OptimizeCommandConfig& config,
 
   OptConfig opt = config.opt;
   if (opt.t_max_ps <= 0.0) {
+    // D_min runs inside the command's budget: the optimizer gets the rest.
+    const Deadline budget(opt.deadline_ms);
     opt.t_max_ps =
         config.t_max_factor * min_achievable_delay_ps(study.circuit,
                                                       study.lib);
+    opt.deadline_ms = budget.remaining_ms();
   }
 
   OptimizeCommandResult out;
   out.t_max_ps = opt.t_max_ps;
+  out.optimizer_deadline_ms = opt.deadline_ms;
   out.impl_entries = study.impl_entries;
   if (config.flow == OptimizeFlow::kStat) {
     out.result =

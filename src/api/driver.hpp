@@ -185,6 +185,9 @@ struct OptimizeCommandResult {
   OptResult result;
   CircuitMetrics metrics;  ///< measured at the resolved target
   double t_max_ps = 0.0;
+  /// Budget the optimizer ran under: `opt.deadline_ms` less the time the
+  /// D_min pre-pass took (floored at 1 ms); 0 = no deadline.
+  std::int64_t optimizer_deadline_ms = 0;
   /// The optimized implementation (front ends write .impl / .bench from it).
   Circuit circuit;
   std::size_t impl_entries = 0;

@@ -66,6 +66,17 @@ class Deadline {
     return armed_ && std::chrono::steady_clock::now() >= end_;
   }
 
+  /// Budget left for the next stage, in whole milliseconds rounded down and
+  /// floored at 1 ms, so an already-expired budget still arms that stage and
+  /// it stops cleanly at its first boundary. 0 (no deadline) when unarmed.
+  std::int64_t remaining_ms() const {
+    if (!armed_) return 0;
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          end_ - std::chrono::steady_clock::now())
+                          .count();
+    return left > 1 ? left : 1;
+  }
+
  private:
   bool armed_ = false;
   std::chrono::steady_clock::time_point end_{};

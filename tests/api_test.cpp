@@ -15,6 +15,7 @@
 
 #include "api/driver.hpp"
 #include "gen/arithmetic.hpp"
+#include "gen/proxy.hpp"
 #include "mc/monte_carlo.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/impl_io.hpp"
@@ -215,6 +216,27 @@ TEST_F(ApiTest, RunOptimizeCommandIsDeterministic) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a.metrics.leakage_mean_na),
             std::bit_cast<std::uint64_t>(b.metrics.leakage_mean_na));
   EXPECT_GT(a.metrics.timing_yield, 0.0);
+}
+
+TEST_F(ApiTest, OptimizeChargesDminToTheDeadline) {
+  // A --tmax-factor run spends part of its budget on the D_min pre-pass;
+  // the optimizer is handed only what is left.
+  api::OptimizeCommandConfig cfg;
+  cfg.input.bench_text = bench_text(iscas85_proxy("c880p"));
+  cfg.flow = api::OptimizeFlow::kStat;
+  cfg.opt.deadline_ms = 5;
+  const api::OptimizeCommandResult r = api::run_optimize_command(cfg);
+  EXPECT_GE(r.optimizer_deadline_ms, 1);
+  EXPECT_LT(r.optimizer_deadline_ms, cfg.opt.deadline_ms);
+  EXPECT_FALSE(r.result.completed);
+  EXPECT_EQ(r.exit_code(), 4);
+
+  // With an explicit target there is no pre-pass to charge.
+  cfg.opt.t_max_ps = r.t_max_ps;
+  const api::OptimizeCommandResult explicit_target =
+      api::run_optimize_command(cfg);
+  EXPECT_EQ(explicit_target.optimizer_deadline_ms, cfg.opt.deadline_ms);
+  EXPECT_EQ(explicit_target.exit_code(), 4);
 }
 
 TEST_F(ApiTest, RunFlowCommandCompletes) {
