@@ -12,6 +12,10 @@
 ///     fits inside the gate's corner slack; the best
 ///     leakage-saving-per-slack-consumed move is committed until none fits.
 ///
+/// Corner timing is incremental (sta/corner_timer.hpp) and move prices are
+/// memoized per gate, so an iteration costs what its move touched; the
+/// trajectory is bit-identical to a full corner STA pass per iteration.
+///
 /// Everything here is evaluated at the chosen corner. What happens to this
 /// solution *under the real process distribution* — the yield loss and
 /// leakage tail the statistical optimizer avoids — is exactly experiment T3.
