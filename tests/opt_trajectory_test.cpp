@@ -29,8 +29,11 @@
 namespace statleak {
 namespace {
 
+// The circuit name is held inline, not as a pointer: gtest prints an
+// unprintable parameter as its raw bytes in each test's listed name, and a
+// pointer there would carry the load address, changing the name every run.
 struct Golden {
-  const char* circuit;
+  char circuit[8];
   int iterations;
   int sizing_commits;
   int hvt_commits;
