@@ -68,69 +68,6 @@ BENCHMARK(BM_StatisticalOptimizer)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// A DAG with realistic logic depth for the incremental-timing series. The
-// default locality (40) grows depth ~338 at 4000 cells — a chain-like shape
-// no mapped netlist has (ISCAS-85 depths run 17..90) — and depth is the one
-// parameter that bounds ANY exact incremental algorithm: a change's fanout
-// cone spans a constant fraction of a chain-shaped circuit. locality=300
-// lands depth 61 at 4000 cells, matching c7552-class logic.
-Circuit realistic_dag(int cells) {
-  RandomDagSpec spec;
-  spec.num_inputs = std::max(16, cells / 16);
-  spec.num_gates = cells;
-  spec.num_outputs = std::max(8, cells / 32);
-  spec.locality = 300.0;
-  spec.seed = 4242;
-  return make_random_dag(spec);
-}
-
-// Incremental dirty-cone retiming vs the full-pass baseline. Second arg:
-// 1 = incremental (the default everywhere else), 0 = one full SSTA pass per
-// query. The committed trajectory and final objective are bit-identical
-// either way (see tests/ssta_incremental_test.cpp); only the wall clock
-// moves. Tentpole acceptance: >= 5x at the 4000-cell proxy.
-void BM_StatisticalOptimizerIncremental(benchmark::State& state) {
-  Circuit base = realistic_dag(static_cast<int>(state.range(0)));
-  OptConfig cfg;
-  cfg.t_max_ps = 1.2 * StaEngine(base, lib()).critical_delay_ps();
-  cfg.incremental_timing = state.range(1) != 0;
-  for (auto _ : state) {
-    Circuit c = base;
-    const OptResult r = StatisticalOptimizer(lib(), var(), cfg).run(c);
-    benchmark::DoNotOptimize(r.final_objective);
-  }
-  state.counters["cells"] = static_cast<double>(base.num_cells());
-  state.counters["incremental"] = static_cast<double>(state.range(1));
-}
-BENCHMARK(BM_StatisticalOptimizerIncremental)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({4000, 0})
-    ->Args({4000, 1})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-// Same comparison on the largest ISCAS-85 proxy (3530 cells, depth 54) —
-// the shape the >= 5x claim is really about.
-void BM_StatisticalOptimizerIncrementalC7552(benchmark::State& state) {
-  Circuit base = iscas85_proxy("c7552p");
-  OptConfig cfg;
-  cfg.t_max_ps = 1.2 * StaEngine(base, lib()).critical_delay_ps();
-  cfg.incremental_timing = state.range(0) != 0;
-  for (auto _ : state) {
-    Circuit c = base;
-    const OptResult r = StatisticalOptimizer(lib(), var(), cfg).run(c);
-    benchmark::DoNotOptimize(r.final_objective);
-  }
-  state.counters["cells"] = static_cast<double>(base.num_cells());
-  state.counters["incremental"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_StatisticalOptimizerIncrementalC7552)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 void BM_DeterministicOptimizer(benchmark::State& state) {
   Circuit base = sized_dag(static_cast<int>(state.range(0)));
   OptConfig cfg;

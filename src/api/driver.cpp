@@ -261,17 +261,18 @@ OptimizeCommandResult run_optimize_command(const OptimizeCommandConfig& config,
                                            obs::Registry* obs) {
   LoadedStudy study = load_study(config.input);
 
+  OptimizeCommandResult out;
   OptConfig opt = config.opt;
   if (opt.t_max_ps <= 0.0) {
     // D_min runs inside the command's budget: the optimizer gets the rest.
     const Deadline budget(opt.deadline_ms);
-    opt.t_max_ps =
-        config.t_max_factor * min_achievable_delay_ps(study.circuit,
-                                                      study.lib);
+    out.d_min_ps = min_achievable_delay_ps(study.circuit, study.lib);
+    opt.t_max_ps = config.t_max_factor * out.d_min_ps;
     opt.deadline_ms = budget.remaining_ms();
+    if (obs != nullptr) obs->set_gauge("optimize.d_min_ps", out.d_min_ps);
   }
+  if (obs != nullptr) obs->set_gauge("optimize.t_max_ps", opt.t_max_ps);
 
-  OptimizeCommandResult out;
   out.t_max_ps = opt.t_max_ps;
   out.optimizer_deadline_ms = opt.deadline_ms;
   out.impl_entries = study.impl_entries;

@@ -185,6 +185,9 @@ struct OptimizeCommandResult {
   OptResult result;
   CircuitMetrics metrics;  ///< measured at the resolved target
   double t_max_ps = 0.0;
+  /// D_min the target was resolved from (t_max_factor x D_min); 0 when the
+  /// target was given explicitly and D_min never ran.
+  double d_min_ps = 0.0;
   /// Budget the optimizer ran under: `opt.deadline_ms` less the time the
   /// D_min pre-pass took (floored at 1 ms); 0 = no deadline.
   std::int64_t optimizer_deadline_ms = 0;
@@ -194,7 +197,9 @@ struct OptimizeCommandResult {
   int exit_code() const { return result.completed ? 0 : 4; }
 };
 
-/// The `statleak optimize` command body.
+/// The `statleak optimize` command body. Publishes the resolved target as
+/// gauge "optimize.t_max_ps", and "optimize.d_min_ps" when the target came
+/// from t_max_factor.
 OptimizeCommandResult run_optimize_command(const OptimizeCommandConfig& config,
                                            obs::Registry* obs = nullptr);
 

@@ -2,13 +2,13 @@
 /// \brief Deterministic scaling series for optimizer-throughput experiments.
 ///
 /// The ISCAS85-class proxies top out near 4k cells — big enough to pin
-/// behaviour, too small to expose layout effects (the scalar AoS engine
+/// behaviour, too small to expose layout effects (an AoS gate graph
 /// still fits its working set in cache there). This series extends the
 /// proxy idea to 10^4..2x10^5 gates: seeded random mapped logic with the
 /// proxy glue's locality profile, sized so the largest member's AoS gate
 /// array firmly exceeds last-level cache while the flat-SoA engine's hot
 /// arrays stay streamable. Members are generated, never stored; the same
-/// (name -> spec) mapping on every machine makes BENCH_opt.json entries
+/// (name -> spec) mapping on every machine makes benchmark results
 /// comparable across hosts.
 
 #pragma once

@@ -20,9 +20,8 @@
 /// fixed-shape pairwise-summation trees (util/tree_sum.hpp), so a
 /// single-gate change re-prices in O(log n) AND every query stays
 /// bit-identical to a from-scratch rebuild — the property the incremental
-/// differential tests pin. A small trial API mirrors the SSTA engine's:
-/// begin_trial() starts an undo log of touched gate moments and
-/// rollback_trial() restores them in O(touched).
+/// differential tests pin. Undoing a move is just another on_gate_changed()
+/// after the circuit's fields are restored.
 
 #pragma once
 
@@ -109,8 +108,9 @@ class LeakageModel {
 /// "what if one gate's moments moved old -> now" with the exact expression
 /// sequence LeakageAnalyzer::quantile_if_na() evaluates — the analyzer's
 /// method is itself implemented on this struct, so the batched scorer and
-/// the scalar pricing path cannot drift by a bit. Capture once per scoring
-/// scan (totals are committed state; they change only on commit).
+/// per-gate quantile_if_na() pricing cannot drift by a bit. Capture once
+/// per scoring scan (totals are committed state; they change only on
+/// commit).
 struct LeakDeltaPricer {
   double sum_mean = 0.0;
   double sum_mean_sq = 0.0;
@@ -144,16 +144,6 @@ class LeakageAnalyzer {
 
   /// Call after gate `id` changed size or Vth. O(log n).
   void on_gate_changed(GateId id);
-
-  // ------------------------------------------------------------- trials --
-  /// Starts logging moment overwrites so rollback_trial() can restore them.
-  /// Trials do not nest.
-  void begin_trial();
-  /// Keeps the current state and drops the undo log.
-  void commit_trial();
-  /// Restores every gate moment the trial touched, in O(touched log n).
-  void rollback_trial();
-  bool trial_active() const { return trial_active_; }
 
   /// Current fitted distribution of total leakage.
   LeakageDistribution distribution() const;
@@ -194,24 +184,12 @@ class LeakageAnalyzer {
   LeakageDistribution assemble(double sum_mean, double sum_mean_sq,
                                double sum_var) const;
 
-  struct MomentUndo {
-    GateId id = kInvalidGate;
-    GateLeakMoments moments;
-  };
-
-  void write_moments(GateId id, const GateLeakMoments& m);
-
   const Circuit& circuit_;
   LeakageModel model_;
   std::vector<GateLeakMoments> moments_;
   TreeSum sum_mean_;     ///< per-gate mean leakage [nA]
   TreeSum sum_mean_sq_;  ///< per-gate squared mean [nA^2]
   TreeSum sum_var_;      ///< per-gate leakage variance [nA^2]
-
-  bool trial_active_ = false;
-  std::vector<MomentUndo> undo_;
-  std::vector<char> touched_;
-  std::vector<GateId> touched_list_;
 
   /// Memo of Phi^-1(p) for the last-seen pricing percentile (the optimizer
   /// always asks for one fixed p, so this hits ~always).

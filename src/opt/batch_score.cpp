@@ -153,7 +153,7 @@ void BatchScorer::rebuild_gate_slots(GateId id) {
                          (vth_[id] == Vth::kHigh ? 1 : 0);
   const GateLeakMoments& m = leak_.cached_moments(id);
   // The exact stage-1 delay decomposition of the batched scan (and of the
-  // scalar path's delay_ps()), evaluated at rebuild time: the inputs are
+  // per-gate delay_ps()), evaluated at rebuild time: the inputs are
   // frozen until the next set_impl/load change, which re-dirties this gate.
   const double d_now = terms_[tn].intrinsic_ps +
                        dn * load / (terms_[tn].idrive_unit_ua * size);
@@ -271,9 +271,10 @@ void BatchScorer::price_blocks_sizing(Worker& w, const LeakDeltaPricer& pricer,
                                       MoveCandidate& local) const {
   const std::size_t m = w.gate.size();
   if (m == 0) return;
-  w.delta.resize(block_);
-  w.new_mean.resize(block_);
-  w.new_var.resize(block_);
+  const std::size_t lanes = std::min(block_, m);
+  w.delta.resize(lanes);
+  w.new_mean.resize(lanes);
+  w.new_var.resize(lanes);
   const double dn = terms_[0].drive_num;  // 1000 * k_delay * vdd, class-free
   const double mf = mean_factor_;
   const double vf = var_factor_;
@@ -541,7 +542,7 @@ void BatchScorer::price_slots_assign(Worker& w, const LeakDeltaPricer& pricer,
   }
 
   // Sweep 2: benefit + score in candidate order. The denominator is the
-  // scalar path's expression over the persistent lanes (same subterms, same
+  // per-gate pricing expression over the persistent lanes (same subterms, same
   // bits); the upper-bound test elides the quantile for candidates that
   // provably cannot beat the threshold (see the function comment).
   // `thresh` tracks local.score once that overtakes the seed.

@@ -5,7 +5,7 @@
 /// The paper's dual-Vth + sizing loop is a deterministic greedy search:
 /// given the implementation state, the candidate scan, the trial and the
 /// accept verdict of every iteration are pure functions (pinned across
-/// engines, thread counts and block sizes by tests/opt_trajectory_test.cpp).
+/// thread counts and block sizes by tests/opt_trajectory_test.cpp).
 /// The full optimizer state is NOT cheap to snapshot — lock masks, round
 /// counters, the boost loop's best-seen snapshot, the recover phase's tried
 /// set all live on the stack — but it does not need to be: journaling the
@@ -99,11 +99,11 @@ enum class OptMoveKind : std::uint8_t {
 /// leakage percentile, iteration cap, assignment rounds), the circuit
 /// topology (kinds, fanins, outputs — NOT the implementation point, which
 /// the optimizer resets on entry), the cell library's size grid and the
-/// process node's physical constants, and the variation model. The scoring
-/// engine, thread count, candidate block, incremental-timing toggle,
-/// deadline and snapshot cadence are deliberately excluded — the trajectory
-/// is invariant to all of them, so a journal written by a flat 8-thread run
-/// resumes under a scalar single-thread run and vice versa.
+/// process node's physical constants, and the variation model. The thread
+/// count, candidate block, deadline and snapshot cadence are deliberately
+/// excluded — the trajectory is invariant to all of them, so a journal
+/// written by an 8-thread run resumes under a single-thread run and vice
+/// versa.
 std::uint64_t opt_checkpoint_hash(const Circuit& circuit,
                                   const CellLibrary& lib,
                                   const VariationModel& var,

@@ -51,21 +51,16 @@ class StatisticalOptimizer {
   /// per loop iteration (exactly OptResult::iterations events). The
   /// optimization trajectory — and therefore the result — is bit-identical
   /// with and without a registry.
+  ///
+  /// Timing runs on the incremental FlatSstaEngine and move pricing on the
+  /// candidate-batched BatchScorer; tests/stat_reference_test.cpp re-runs
+  /// the same schedule on full-pass analyzers and per-gate pricing and
+  /// requires the same trajectory bit for bit.
   OptResult run(Circuit& circuit, obs::Registry* obs = nullptr) const;
 
   const OptConfig& config() const { return config_; }
 
  private:
-  /// The whole optimization schedule, generic over the SSTA engine type
-  /// (scalar SstaEngine vs flat-SoA FlatSstaEngine). The two instantiations
-  /// share every line of control flow; only candidate scoring dispatches —
-  /// the flat engine prices moves through the candidate-batched BatchScorer,
-  /// the scalar engine through the per-gate closure — and both produce the
-  /// same moves bit for bit (pinned by tests/opt_trajectory_test.cpp).
-  template <class Engine>
-  OptResult run_impl(Circuit& circuit, Engine& ssta,
-                     obs::Registry* obs) const;
-
   const CellLibrary& lib_;
   const VariationModel& var_;
   OptConfig config_;

@@ -318,7 +318,7 @@ void FlatSstaEngine::replay_output_chain() const {
 
 void FlatSstaEngine::refresh_sink_weights() const {
   if (!weights_stale_) return;
-  // The scalar chain builds weights by repeated rescaling: after step i,
+  // The full-pass chain builds weights by repeated rescaling: after step i,
   // weights[j < i] have been multiplied by tight_i in increasing-j order
   // and weights[i] = 1.0 - tight_i. Re-running that recurrence from the
   // cached per-step tightness reproduces every bit; rows with tightness
@@ -364,15 +364,15 @@ void FlatSstaEngine::full_pass() const {
 }
 
 void FlatSstaEngine::flush() const {
-  if (!primed_ || !incremental_) {
+  if (!primed_) {
     full_pass();
     return;
   }
   if (pending_.empty()) return;
   if (obs_ != nullptr) obs_->add("ssta.flat_incremental_passes", 1.0);
 
-  // Levelized cone propagation, same visit discipline as the scalar engine:
-  // a gate is recomputed only after all of its recomputed fanins.
+  // Levelized cone propagation in the order a full forward pass visits
+  // gates: a gate is recomputed only after all of its recomputed fanins.
   for (GateId id : pending_) {
     buckets_[static_cast<std::size_t>(level_[id])].push_back(id);
   }

@@ -37,9 +37,9 @@ class LoadCache {
   /// drivers (the only loads that depend on a gate's own size).
   void on_resize(GateId resized);
 
-  /// Writes one cached load back verbatim. Used by the incremental SSTA
-  /// engines' trial rollback, which saved the value with load_ff() before a
-  /// tentative resize; never recomputes anything.
+  /// Writes one cached load back verbatim. Used by FlatSstaEngine's trial
+  /// rollback, which saved the value with load_ff() before a tentative
+  /// resize; never recomputes anything.
   void restore_load(GateId id, double load_ff);
 
   double load_ff(GateId id) const { return loads_[id]; }

@@ -239,6 +239,28 @@ TEST_F(ApiTest, OptimizeChargesDminToTheDeadline) {
   EXPECT_EQ(explicit_target.exit_code(), 4);
 }
 
+TEST_F(ApiTest, OptimizeEchoesTheResolvedTarget) {
+  api::OptimizeCommandConfig cfg;
+  cfg.input.bench_text = bench_text(circuit_);
+  cfg.flow = api::OptimizeFlow::kStat;
+  cfg.t_max_factor = 1.2;
+  obs::Registry reg;
+  const api::OptimizeCommandResult r = api::run_optimize_command(cfg, &reg);
+  EXPECT_GT(r.d_min_ps, 0.0);
+  EXPECT_EQ(r.t_max_ps, cfg.t_max_factor * r.d_min_ps);
+  EXPECT_EQ(reg.gauge_value("optimize.d_min_ps"), r.d_min_ps);
+  EXPECT_EQ(reg.gauge_value("optimize.t_max_ps"), r.t_max_ps);
+
+  // An explicit target skips D_min: nothing to echo for it.
+  cfg.opt.t_max_ps = 1.5 * r.t_max_ps;
+  obs::Registry explicit_reg;
+  const api::OptimizeCommandResult e =
+      api::run_optimize_command(cfg, &explicit_reg);
+  EXPECT_EQ(e.d_min_ps, 0.0);
+  EXPECT_EQ(explicit_reg.gauge_value("optimize.t_max_ps"), cfg.opt.t_max_ps);
+  EXPECT_EQ(explicit_reg.gauge_value("optimize.d_min_ps", -1.0), -1.0);
+}
+
 TEST_F(ApiTest, RunFlowCommandCompletes) {
   api::FlowCommandConfig cfg;
   cfg.input.bench_text = bench_text(circuit_);

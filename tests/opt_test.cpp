@@ -225,6 +225,9 @@ TEST_F(OptTest, StatRejectsBadConfig) {
   cfg.yield_target = 0.99;
   cfg.leakage_percentile = 0.0;
   EXPECT_THROW(StatisticalOptimizer(lib_, var_, cfg), Error);
+  cfg.leakage_percentile = 0.99;
+  cfg.flat_engine = false;  // the flat engine is the only engine
+  EXPECT_THROW(StatisticalOptimizer(lib_, var_, cfg), Error);
 }
 
 TEST_F(OptTest, StatThreadCountInvariance) {

@@ -1,22 +1,22 @@
 // Golden-trajectory regression tests: the statistical optimizer's full move
 // trajectory on the c432p/c880p proxies is pinned — iteration count, every
 // commit/reject counter, feasibility and the final objective. The greedy
-// search is deterministic (thread count, candidate block size, engine layout
-// and observation provably do not change it; incremental retiming is
-// bit-identical to full passes), so any drift in these numbers means a real
-// behavioral change, which must be reviewed and re-pinned deliberately.
+// search is deterministic (thread count, candidate block size and
+// observation provably do not change it), so any drift in these numbers
+// means a real behavioral change, which must be reviewed and re-pinned
+// deliberately.
 //
-// Both SSTA engines are pinned to the SAME goldens: the flat-SoA engine with
-// batched move pricing (the default) and the scalar engine are required to
-// walk the identical trajectory, across every tested thread count x
-// candidate block size combination, down to the exact final implementation
-// (bitwise sizes and Vth classes).
+// Every tested thread count x candidate block size combination must walk
+// the identical trajectory, down to the exact final implementation (bitwise
+// sizes and Vth classes). tests/stat_reference_test.cpp checks the same
+// schedule against a plain full-pass reference.
 //
 // Counters are read back through the obs trace streams, which also pins the
 // one-trace-event-per-iteration invariant end to end.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -109,7 +109,6 @@ TEST_P(TrajectoryTest, MatchesGoldenFlat) {
 
   OptConfig cfg;
   cfg.t_max_ps = 1.15 * min_achievable_delay_ps(c, lib);
-  ASSERT_TRUE(cfg.flat_engine);  // the default engine is the flat one
 
   obs::Registry reg;
   const OptResult result = StatisticalOptimizer(lib, var, cfg).run(c, &reg);
@@ -117,7 +116,7 @@ TEST_P(TrajectoryTest, MatchesGoldenFlat) {
 
   // The flat engine's dirty-cone fast path and the batched scorer must
   // actually be engaged: without them the run would take one full pass per
-  // query and one scalar scan per iteration.
+  // query.
   EXPECT_GT(reg.counter_value("ssta.flat_incremental_passes"), 0.0);
   EXPECT_LT(reg.counter_value("ssta.flat_full_passes"), 10.0);
   EXPECT_GT(reg.counter_value("ssta.flat_cone_gates_retimed"), 0.0);
@@ -125,30 +124,11 @@ TEST_P(TrajectoryTest, MatchesGoldenFlat) {
   EXPECT_GT(reg.counter_value("opt.candidate_blocks"), 0.0);
 }
 
-TEST_P(TrajectoryTest, MatchesGoldenScalar) {
-  const Golden& golden = GetParam();
-  Circuit c = iscas85_proxy(golden.circuit);
-  const CellLibrary lib(generic_100nm());
-  const VariationModel var = VariationModel::typical_100nm();
-
-  OptConfig cfg;
-  cfg.t_max_ps = 1.15 * min_achievable_delay_ps(c, lib);
-  cfg.flat_engine = false;
-
-  obs::Registry reg;
-  const OptResult result = StatisticalOptimizer(lib, var, cfg).run(c, &reg);
-  check_against_golden(golden, result, reg);
-
-  EXPECT_GT(reg.counter_value("ssta.incremental_passes"), 0.0);
-  EXPECT_LT(reg.counter_value("ssta.full_passes"), 10.0);
-  // The scalar path never touches the batched scorer.
-  EXPECT_EQ(reg.counter_value("opt.flat_passes"), 0.0);
-}
-
-// Flat-vs-scalar equality across thread counts and candidate block sizes:
-// every combination must reproduce the scalar single-thread reference run
-// exactly — same result counters, same final objective to the last bit, and
-// the same final implementation point (bitwise sizes and Vth classes).
+// Thread counts and candidate block sizes: every combination must
+// reproduce the default single-thread run exactly — same result counters,
+// same final objective to the last bit, and the same final implementation
+// point (bitwise sizes and Vth classes). The largest block exceeds any
+// shard's candidate count, so the scorer's scratch is sized to the shard.
 TEST_P(TrajectoryTest, EngineThreadsAndBlockSizeAreBitInvariant) {
   const Golden& golden = GetParam();
   const CellLibrary lib(generic_100nm());
@@ -159,7 +139,6 @@ TEST_P(TrajectoryTest, EngineThreadsAndBlockSizeAreBitInvariant) {
     Circuit probe = iscas85_proxy(golden.circuit);
     ref_cfg.t_max_ps = 1.15 * min_achievable_delay_ps(probe, lib);
   }
-  ref_cfg.flat_engine = false;
   ref_cfg.num_threads = 1;
 
   Circuit ref_circuit = iscas85_proxy(golden.circuit);
@@ -168,11 +147,10 @@ TEST_P(TrajectoryTest, EngineThreadsAndBlockSizeAreBitInvariant) {
   const Implementation ref_impl = snapshot(ref_circuit);
 
   const int thread_counts[] = {1, 2, 8};
-  const int block_sizes[] = {1, 8, 0};  // 0 = auto
+  const int block_sizes[] = {1, 8, 0, std::numeric_limits<int>::max()};
   for (int threads : thread_counts) {
-    for (int block : block_sizes) {
+    for (int block : block_sizes) {  // 0 = auto
       OptConfig cfg = ref_cfg;
-      cfg.flat_engine = true;
       cfg.num_threads = threads;
       cfg.candidate_block = block;
 
@@ -187,7 +165,7 @@ TEST_P(TrajectoryTest, EngineThreadsAndBlockSizeAreBitInvariant) {
       EXPECT_EQ(result.downsize_commits, ref.downsize_commits);
       EXPECT_EQ(result.rejected_moves, ref.rejected_moves);
       EXPECT_EQ(result.feasible, ref.feasible);
-      // Bitwise, not approximate: the engines share one expression shape.
+      // Bitwise, not approximate: pricing is independent per candidate.
       EXPECT_EQ(result.final_objective, ref.final_objective);
       const Implementation impl = snapshot(c);
       EXPECT_EQ(impl.sizes, ref_impl.sizes);

@@ -19,12 +19,6 @@ estimator against the plain-MC baseline of its (circuit, metric).  That
 factor is the sample-count reduction at equal variance, and it is what the
 CI estimator-quality gate pins floors on.
 
-With --opt the input is the JSON document printed by bench_opt_throughput
-(wall seconds and optimizer iterations per second for the flat-SoA and the
-scalar engine on every benchmarked circuit) and the output is
-BENCH_opt.json: per-circuit seconds / moves-per-second per engine plus the
-flat/scalar speedup — the number the CI optimizer-perf gate floors.
-
 Timing artifacts from debug builds are meaningless for the perf trajectory,
 so any input that carries a build-type marker saying "debug" is refused
 unless --allow-debug is passed (intended for pipeline debugging only; the
@@ -34,7 +28,6 @@ Usage:
     bench_to_json.py [raw_benchmark.json] [-o BENCH_mc.json]
     bench_to_json.py --estimators [raw_estimators.json] \
         [-o BENCH_estimators.json]
-    bench_to_json.py --opt [raw_opt.json] [-o BENCH_opt.json]
 
 With no -o the result is printed to stdout.
 """
@@ -172,50 +165,6 @@ def distill_estimators(raw: dict) -> dict:
     }
 
 
-def distill_opt(raw: dict) -> dict:
-    """Reduce bench_opt_throughput output to per-circuit engine entries.
-
-    Output shape:
-        circuits.<circuit>.<engine> =
-            {seconds, iterations, commits, moves_per_second}
-        circuits.<circuit>.speedup_flat_vs_scalar
-    """
-    if raw.get("bench") != "opt_throughput":
-        raise ValueError("input is not bench_opt_throughput output")
-
-    circuits: dict[str, dict] = {}
-    for entry in raw.get("results", []):
-        circuits.setdefault(entry["circuit"], {})[entry["engine"]] = {
-            "num_cells": entry["num_cells"],
-            "seconds": round(entry["seconds"], 4),
-            "iterations": entry["iterations"],
-            "commits": entry["commits"],
-            "moves_per_second": round(entry["moves_per_second"], 1),
-        }
-    for circuit, engines in circuits.items():
-        if "flat" in engines and "scalar" in engines:
-            flat = engines["flat"]["seconds"]
-            if flat > 0:
-                engines["speedup_flat_vs_scalar"] = round(
-                    engines["scalar"]["seconds"] / flat, 2)
-
-    return {
-        "schema_version": 1,
-        "generated_by": "tools/bench_to_json.py --opt",
-        "benchmark": "bench_opt_throughput",
-        "unit": ("statistical-optimizer wall seconds and loop iterations "
-                 "per second, single thread, min over back-to-back "
-                 "repetitions"),
-        "build_type": raw.get("build_type"),
-        "threads": raw.get("threads"),
-        "note": ("flat and scalar walk bit-identical trajectories "
-                 "(asserted by the benchmark, pinned by "
-                 "tests/opt_trajectory_test.cpp); the speedup is pure "
-                 "engine layout + batched pricing"),
-        "circuits": circuits,
-    }
-
-
 def build_type_of(raw: dict) -> str | None:
     """Best-effort build-type marker of a raw benchmark document.
 
@@ -244,9 +193,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--estimators", action="store_true",
                         help="input is bench_estimator_variance JSON; emit "
                              "variance-reduction factors")
-    parser.add_argument("--opt", action="store_true",
-                        help="input is bench_opt_throughput JSON; emit "
-                             "flat-vs-scalar optimizer speedups")
     parser.add_argument("--allow-debug", action="store_true",
                         help="accept timing input from a debug build "
                              "(refused by default: debug timings are not "
@@ -271,12 +217,6 @@ def main(argv: list[str]) -> int:
     if args.estimators:
         try:
             result = distill_estimators(raw)
-        except ValueError as err:
-            print(f"bench_to_json: {err}", file=sys.stderr)
-            return 1
-    elif args.opt:
-        try:
-            result = distill_opt(raw)
         except ValueError as err:
             print(f"bench_to_json: {err}", file=sys.stderr)
             return 1
