@@ -263,13 +263,20 @@ OptimizeCommandResult run_optimize_command(const OptimizeCommandConfig& config,
 
   OptimizeCommandResult out;
   OptConfig opt = config.opt;
+  bool d_min_completed = true;
   if (opt.t_max_ps <= 0.0) {
     // D_min runs inside the command's budget: the optimizer gets the rest.
     const Deadline budget(opt.deadline_ms);
-    out.d_min_ps = min_achievable_delay_ps(study.circuit, study.lib);
+    const MinDelay d_min =
+        min_achievable_delay(study.circuit, study.lib, budget.remaining_ms());
+    out.d_min_ps = d_min.d_min_ps;
+    d_min_completed = d_min.completed;
     opt.t_max_ps = config.t_max_factor * out.d_min_ps;
     opt.deadline_ms = budget.remaining_ms();
-    if (obs != nullptr) obs->set_gauge("optimize.d_min_ps", out.d_min_ps);
+    if (obs != nullptr) {
+      obs->set_gauge("optimize.d_min_ps", out.d_min_ps);
+      if (!d_min_completed) obs->mark_incomplete("deadline");
+    }
   }
   if (obs != nullptr) obs->set_gauge("optimize.t_max_ps", opt.t_max_ps);
 
@@ -284,6 +291,12 @@ OptimizeCommandResult run_optimize_command(const OptimizeCommandConfig& config,
     out.result =
         DeterministicOptimizer(study.lib, study.var, opt).run(study.circuit,
                                                               obs);
+  }
+  if (!d_min_completed && out.result.completed) {
+    // The optimizer finished inside the budget D_min left, but the target
+    // it met was derived from a cut-short D_min.
+    out.result.completed = false;
+    out.result.note += "; stopped early: deadline expired during D_min";
   }
   out.metrics =
       measure_metrics(study.circuit, study.lib, study.var, opt.t_max_ps);

@@ -78,8 +78,22 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
   // (bitwise the values the scan used to recompute) read from the timer.
   std::vector<UpsizePrice> upsize(n);
   std::vector<AssignPrice> assign(n);
+
+  // Flat per-gate mirrors read by the O(n) scans instead of the Gate
+  // records: an input mask and each gate's size-step index. The step is
+  // set from lib_.nearest_step at every size write (commit_resize,
+  // restore_snapshot), so it is exactly what the scan used to recompute.
+  std::vector<char> is_input(n);
+  std::vector<std::size_t> step_of(n);
+  for (GateId id = 0; id < n; ++id) {
+    const Gate& g = circuit.gate(id);
+    is_input[id] = g.kind == CellKind::kInput ? 1 : 0;
+    step_of[id] = lib_.nearest_step(g.size);
+  }
+
   const auto commit_resize = [&](GateId b, double size) {
     circuit.set_size(b, size);
+    step_of[b] = lib_.nearest_step(size);
     timer.on_resize(b);
     upsize[b].valid = false;
     assign[b].valid = false;
@@ -133,7 +147,7 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
     if (g.vth == Vth::kLow) {
       p.dd_vth = timer.delay_with(id, Vth::kHigh, g.size, load) - d_now;
     }
-    const std::size_t step = lib_.nearest_step(g.size);
+    const std::size_t step = step_of[id];
     if (step > 0) {
       p.smaller = steps[step - 1];
       p.dd_down = timer.delay_with(id, g.vth, p.smaller, load) - d_now;
@@ -206,6 +220,7 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
     for (GateId id = 0; id < circuit.num_gates(); ++id) {
       circuit.gate(id).size = s.sizes[id];
       circuit.gate(id).vth = s.vths[id];
+      step_of[id] = lib_.nearest_step(s.sizes[id]);
     }
     timer.rebuild();
     std::fill(upsize.begin(), upsize.end(), UpsizePrice{});
@@ -226,11 +241,11 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
       GateId best = kInvalidGate;
       std::size_t best_step = 0;
       double best_score = 0.0;
+      const CornerTimer::SlackView slacks = timer.slacks();
       for (GateId id = 0; id < n; ++id) {
-        const Gate& g = circuit.gate(id);
-        if (g.kind == CellKind::kInput) continue;
-        if (timer.slack_ps(id) >= 0.0) continue;
-        const std::size_t step = lib_.nearest_step(g.size);
+        if (is_input[id] != 0) continue;
+        if (slacks[id] >= 0.0) continue;
+        const std::size_t step = step_of[id];
         if (step + 1 >= steps.size()) continue;
         if ((lock_word(id, step + 1) & lock_bit(step + 1)) != 0) continue;
         UpsizePrice& price = upsize[id];
@@ -272,11 +287,12 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
       bool best_is_vth = false;
       double best_new_size = 0.0;
       double best_score = 0.0;
+      const CornerTimer::SlackView slacks = timer.slacks();
       for (GateId id = 0; id < n; ++id) {
-        const Gate& g = circuit.gate(id);
-        if (g.kind == CellKind::kInput) continue;
-        const double slack = timer.slack_ps(id) - config_.slack_margin_ps;
+        if (is_input[id] != 0) continue;
+        const double slack = slacks[id] - config_.slack_margin_ps;
         if (slack <= 0.0) continue;
+        const Gate& g = circuit.gate(id);
         AssignPrice& price = assign[id];
         if (!price.valid) price = price_assign(id);
 

@@ -54,19 +54,27 @@ double FlowOutcome::mean_saving() const {
          det_metrics.leakage_mean_na;
 }
 
-double min_achievable_delay_ps(const Circuit& circuit,
-                               const CellLibrary& lib) {
+MinDelay min_achievable_delay(const Circuit& circuit, const CellLibrary& lib,
+                              std::int64_t deadline_ms) {
   // Run the deterministic sizer against an unreachable target: phase 1 then
   // upsizes until no move helps, i.e. to the minimum-delay sizing. Work on a
   // copy so the caller's implementation is untouched.
   Circuit scratch = circuit;
   OptConfig cfg;
   cfg.t_max_ps = 1e-3;  // unreachable: forces full upsizing
+  cfg.deadline_ms = deadline_ms;
   // Named: the optimizer keeps a reference, so a temporary would dangle.
   const VariationModel no_var = VariationModel::none();
   DeterministicOptimizer sizer(lib, no_var, cfg);
-  (void)sizer.run(scratch);
-  return StaEngine(scratch, lib).critical_delay_ps();
+  MinDelay out;
+  out.completed = sizer.run(scratch).completed;
+  out.d_min_ps = StaEngine(scratch, lib).critical_delay_ps();
+  return out;
+}
+
+double min_achievable_delay_ps(const Circuit& circuit,
+                               const CellLibrary& lib) {
+  return min_achievable_delay(circuit, lib, 0).d_min_ps;
 }
 
 FlowOutcome run_flow(Circuit& circuit, const CellLibrary& lib,
@@ -81,10 +89,17 @@ FlowOutcome run_flow(Circuit& circuit, const CellLibrary& lib,
   // remains.
   const Deadline budget(config.deadline_ms);
 
+  bool d_min_completed = true;
   {
     obs::ScopedTimer timer(obs, "flow.d_min");
-    out.d_min_ps = min_achievable_delay_ps(circuit, lib);
+    const MinDelay d_min =
+        min_achievable_delay(circuit, lib, budget.remaining_ms());
+    out.d_min_ps = d_min.d_min_ps;
+    d_min_completed = d_min.completed;
   }
+  // The later phases get an expired budget and stop at their first
+  // boundary; the run is flagged here so the report names the cause.
+  if (!d_min_completed && obs != nullptr) obs->mark_incomplete("deadline");
   out.t_max_ps = config.t_max_factor * out.d_min_ps;
 
   OptConfig base;
@@ -149,7 +164,8 @@ FlowOutcome run_flow(Circuit& circuit, const CellLibrary& lib,
     }
   }
 
-  out.completed = out.det_result.completed && out.stat_result.completed &&
+  out.completed = d_min_completed && out.det_result.completed &&
+                  out.stat_result.completed &&
                   (!out.has_mc ||
                    (out.det_mc.completed && out.stat_mc.completed));
 

@@ -99,7 +99,19 @@ struct FlowOutcome {
   double mean_saving() const;
 };
 
+/// D_min as reached within a wall-clock budget.
+struct MinDelay {
+  double d_min_ps = 0.0;
+  /// False when the budget ran out first: d_min_ps is then the delay the
+  /// cut-short sizing reached, an upper bound on the true D_min.
+  bool completed = true;
+};
+
 /// Minimum achievable nominal delay: unconstrained greedy upsizing.
+/// `deadline_ms` bounds the sizer (OptConfig::deadline_ms; 0 = none).
+MinDelay min_achievable_delay(const Circuit& circuit, const CellLibrary& lib,
+                              std::int64_t deadline_ms);
+/// min_achievable_delay() without a budget.
 double min_achievable_delay_ps(const Circuit& circuit, const CellLibrary& lib);
 
 /// Runs the full det-vs-stat flow on one circuit. The circuit's

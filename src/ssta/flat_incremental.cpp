@@ -40,6 +40,12 @@ FlatSstaEngine::FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
   for (GateId id = 0; id < n; ++id) refresh_own_delay(id);
   queued_.assign(n, 0);
   touched_.assign(n, 0);
+  // A trial's cone can reach every gate. Reserving the undo log for that up
+  // front costs address space only (pages are touched as entries land) and
+  // never regrows it mid-trial, so the footprint tracks the largest cone.
+  arrival_undo_.reserve(n);
+  win_undo_.reserve(flat_.fanin.size());
+  touched_list_.reserve(n);
   buckets_.assign(static_cast<std::size_t>(flat_.depth) + 1, {});
   weights_scratch_.resize(max_degree);
   const std::size_t m = flat_.outputs.size();
@@ -50,7 +56,6 @@ FlatSstaEngine::FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
   out_prefix_.assign(m, Canonical{});
   out_tight_.assign(m, 1.0);
   sink_weights_.assign(m, 0.0);
-  trial_log_cap_ = n / 8 + 1024;
 }
 
 Canonical FlatSstaEngine::gate_delay(GateId id) const {
@@ -123,105 +128,69 @@ void FlatSstaEngine::clear_pending() const {
 
 void FlatSstaEngine::begin_trial() {
   STATLEAK_CHECK(!trial_active_, "trials do not nest");
+  // Start from a primed engine with nothing pending: the trial then never
+  // runs a full pass, and the undo log alone reaches back to the pre-trial
+  // state. (A no-op for callers that queried just before.)
+  flush();
   trial_active_ = true;
-  trial_lost_baseline_ = false;
-  trial_primed_ = primed_;
-  trial_pending_ = pending_;
   trial_out_max_ = state_.circuit_delay;
-  trial_sink_weights_ = sink_weights_;
   trial_crit_primed_ = crit_primed_;
   trial_crit_overwritten_ = false;
   trial_chain_saved_ = false;
-  trial_out_dirty_min_ = out_dirty_min_;
-  trial_out_dirty_max_ = out_dirty_max_;
   trial_weights_stale_ = weights_stale_;
+}
+
+void FlatSstaEngine::end_trial() {
+  trial_active_ = false;
+  trial_chain_saved_ = false;
+  for (GateId id : touched_list_) touched_[id] = 0;
+  touched_list_.clear();
+  arrival_undo_.clear();
+  win_undo_.clear();
+  load_undo_.clear();
+  delay_undo_.clear();
 }
 
 void FlatSstaEngine::commit_trial() {
   STATLEAK_CHECK(trial_active_, "no trial to commit");
-  trial_active_ = false;
-  trial_lost_baseline_ = false;
-  trial_chain_saved_ = false;
-  for (GateId id : touched_list_) touched_[id] = 0;
-  touched_list_.clear();
-  arrival_undo_.clear();
-  win_undo_.clear();
-  load_undo_.clear();
-  delay_undo_.clear();
-  trial_pending_.clear();
+  end_trial();
 }
 
 void FlatSstaEngine::rollback_trial() {
   STATLEAK_CHECK(trial_active_, "no trial to roll back");
-  trial_active_ = false;
   for (const LoadUndo& u : load_undo_) loads_.restore_load(u.id, u.load_ff);
-  // Own delays are cached eagerly at notification time, so they are
-  // restored regardless of whether a full pass ran during the trial (the
-  // next full pass reuses the cache; it must hold pre-trial bits).
   for (const DelayUndo& u : delay_undo_) own_delay_[u.id] = u.delay;
-  if (trial_lost_baseline_) {
-    // A full pass ran inside the trial; the arrival log does not reach back
-    // to the pre-trial state. Drop the cache — the next query recomputes
-    // from the (caller-restored) circuit, which is exact by construction.
-    primed_ = false;
-    crit_primed_ = false;
-  } else {
-    primed_ = trial_primed_;
-    for (const ArrivalUndo& u : arrival_undo_) {
-      state_.arrival[u.id] = u.arrival;
-      const std::uint32_t off = flat_.fanin_offset[u.id];
-      const std::uint32_t len = flat_.fanin_offset[u.id + 1] - off;
-      std::copy_n(win_undo_.begin() + u.win_off, len, win_.begin() + off);
-    }
-    state_.circuit_delay = trial_out_max_;
-    sink_weights_ = std::move(trial_sink_weights_);
-    // Output chain: if a replay ran during the trial, the prefix and
-    // tightness arrays were snapshotted just before the first overwrite —
-    // swap the pre-trial bits back. Otherwise the arrays were never
-    // touched, and restoring the arrivals above already re-validated them.
-    // The dirty window and lazy-weights flag roll back unconditionally.
-    if (trial_chain_saved_) {
-      std::swap(out_prefix_, trial_out_prefix_);
-      std::swap(out_tight_, trial_out_tight_);
-    }
-    out_dirty_min_ = trial_out_dirty_min_;
-    out_dirty_max_ = trial_out_dirty_max_;
-    weights_stale_ = trial_weights_stale_;
-    // The restore is bitwise, so criticality computed before the trial is
-    // still exact — keep it unless the array itself was overwritten by an
-    // analyze during the trial.
-    crit_primed_ = trial_crit_primed_ && !trial_crit_overwritten_;
+  for (const ArrivalUndo& u : arrival_undo_) {
+    state_.arrival[u.id] = u.arrival;
+    const std::uint32_t off = flat_.fanin_offset[u.id];
+    const std::uint32_t len = flat_.fanin_offset[u.id + 1] - off;
+    std::copy_n(win_undo_.begin() + u.win_off, len, win_.begin() + off);
   }
+  state_.circuit_delay = trial_out_max_;
+  // Output chain: if a replay ran during the trial, the prefix and
+  // tightness arrays were snapshotted just before the first overwrite —
+  // swap the pre-trial bits back. Otherwise the arrays were never touched,
+  // and restoring the arrivals above already re-validated them.
+  if (trial_chain_saved_) {
+    std::swap(out_prefix_, trial_out_prefix_);
+    std::swap(out_tight_, trial_out_tight_);
+  }
+  // The trial began flushed: nothing was pending and no output was awaiting
+  // replay. Dirt reported since then belongs to the undone moves.
   clear_pending();
-  for (GateId id : trial_pending_) {
-    queued_[id] = 1;
-    pending_.push_back(id);
-  }
-  for (GateId id : touched_list_) touched_[id] = 0;
-  touched_list_.clear();
-  arrival_undo_.clear();
-  win_undo_.clear();
-  load_undo_.clear();
-  delay_undo_.clear();
-  trial_pending_.clear();
-  trial_lost_baseline_ = false;
-  trial_chain_saved_ = false;
-  trial_sink_weights_.clear();
+  out_dirty_min_ = kNoDirty;
+  out_dirty_max_ = 0;
+  // The restore is bitwise, so criticality computed before the trial is
+  // still exact — keep it unless an analyze during the trial overwrote it.
+  // That analyze is also the only writer of sink_weights_, which is then
+  // recomputed from the restored tightness on the next refresh.
+  crit_primed_ = trial_crit_primed_ && !trial_crit_overwritten_;
+  weights_stale_ = trial_weights_stale_ || trial_crit_overwritten_;
+  end_trial();
 }
 
 void FlatSstaEngine::log_arrival(GateId id) const {
-  if (!trial_active_ || trial_lost_baseline_ || (touched_[id] & 1) != 0) {
-    return;
-  }
-  // A cone past the cap covers a constant fraction of the circuit: give up
-  // on entry-by-entry restore (a rollback reprimes with a full pass, same
-  // bits) rather than keep paying the log tax on a trial that will most
-  // likely commit anyway. Arrivals logged so far are simply ignored by the
-  // lost-baseline rollback path.
-  if (arrival_undo_.size() >= trial_log_cap_) {
-    trial_lost_baseline_ = true;
-    return;
-  }
+  if (!trial_active_ || (touched_[id] & 1) != 0) return;
   touched_[id] = static_cast<char>(touched_[id] | 1);
   touched_list_.push_back(id);
   arrival_undo_.push_back(
@@ -286,7 +255,7 @@ bool FlatSstaEngine::retime_gate(GateId id, bool& state_changed) const {
 void FlatSstaEngine::replay_output_chain() const {
   if (out_dirty_min_ > out_dirty_max_) return;  // nothing pending
   const std::size_t m = flat_.outputs.size();
-  if (trial_active_ && !trial_lost_baseline_ && !trial_chain_saved_) {
+  if (trial_active_ && !trial_chain_saved_) {
     trial_out_prefix_ = out_prefix_;
     trial_out_tight_ = out_tight_;
     trial_chain_saved_ = true;
@@ -338,7 +307,6 @@ void FlatSstaEngine::refresh_sink_weights() const {
 }
 
 void FlatSstaEngine::full_pass() const {
-  if (trial_active_) trial_lost_baseline_ = true;
   if (obs_ != nullptr) obs_->add("ssta.flat_full_passes", 1.0);
   const std::size_t n = circuit_.num_gates();
   state_.arrival.assign(n, Canonical{});

@@ -19,11 +19,13 @@
 /// fresh SstaEngine (pinned by tests/ssta_incremental_test.cpp).
 ///
 /// The trial API serves the optimizer's tentative-apply/reject pattern:
-/// begin_trial() starts an undo log; queries and notifications work as
-/// usual; rollback_trial() restores every cached value the trial touched in
-/// O(touched). The caller restores the circuit's own size/Vth fields (the
-/// engine only reads the circuit). commit_trial() keeps the new state and
-/// drops the log.
+/// begin_trial() brings the engine current (primed, nothing pending — a
+/// no-op right after a query) and starts an undo log; queries and
+/// notifications work as usual; rollback_trial() restores every cached
+/// value the trial touched, bitwise and in O(touched), however large the
+/// trial's cone. A trial never runs a full pass. The caller restores the
+/// circuit's own size/Vth fields (the engine only reads the circuit).
+/// commit_trial() keeps the new state and drops the log.
 ///
 /// Layout. The engine walks the FlatCircuit CSR adjacency and stores every
 /// per-fanin win weight in one flat array aligned with the CSR fanin slots
@@ -99,18 +101,6 @@ class FlatSstaEngine {
   void rollback_trial();
   bool trial_active() const { return trial_active_; }
 
-  /// Caps the per-trial arrival-undo log. A trial whose dirty cone logs
-  /// more arrivals than the cap stops logging and marks its baseline lost:
-  /// a rollback then reprimes with a full pass (bit-identical by the
-  /// incremental contract) instead of restoring entry by entry.
-  /// Cones that large cover a constant fraction of the circuit, so the
-  /// full pass costs the same order as the logged restore it replaces —
-  /// while commit-heavy phases stop paying the log tax on huge cones
-  /// entirely. Default max(n/8 + 1024); the setter exists for tests, which
-  /// shrink it to force the lost-baseline path on small circuits.
-  void set_trial_log_cap(std::size_t cap) { trial_log_cap_ = cap; }
-  std::size_t trial_log_cap() const { return trial_log_cap_; }
-
   /// Attaches an observability registry (nullptr detaches). The engine
   /// counts its queries ("ssta.analyze_passes", "ssta.forward_passes") and
   /// its retiming work ("ssta.flat_full_passes",
@@ -162,6 +152,7 @@ class FlatSstaEngine {
   void refresh_criticality() const;
   void log_arrival(GateId id) const;
   void clear_pending() const;
+  void end_trial();
 
   const Circuit& circuit_;
   const CellLibrary& lib_;
@@ -205,18 +196,13 @@ class FlatSstaEngine {
   mutable std::vector<double> weights_scratch_;   ///< max fanin degree
 
   bool trial_active_ = false;
-  std::size_t trial_log_cap_ = 0;  ///< set in the constructor
-  mutable bool trial_lost_baseline_ = false;
   mutable std::vector<ArrivalUndo> arrival_undo_;
   mutable std::vector<double> win_undo_;  ///< flat saved win-weight slices
   mutable std::vector<LoadUndo> load_undo_;
   mutable std::vector<DelayUndo> delay_undo_;
   mutable std::vector<char> touched_;  ///< 1: arrival, 2: load, 4: own delay
   mutable std::vector<GateId> touched_list_;
-  mutable std::vector<GateId> trial_pending_;
   mutable Canonical trial_out_max_;
-  mutable std::vector<double> trial_sink_weights_;
-  mutable bool trial_primed_ = false;
   mutable bool trial_crit_primed_ = false;
   mutable bool trial_crit_overwritten_ = false;
   /// Copy-on-replay save of the output chain: the prefix/tightness arrays
@@ -226,8 +212,6 @@ class FlatSstaEngine {
   mutable bool trial_chain_saved_ = false;
   mutable std::vector<Canonical> trial_out_prefix_;
   mutable std::vector<double> trial_out_tight_;
-  mutable std::uint32_t trial_out_dirty_min_ = kNoDirty;
-  mutable std::uint32_t trial_out_dirty_max_ = 0;
   mutable bool trial_weights_stale_ = true;
 };
 

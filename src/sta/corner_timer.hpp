@@ -23,7 +23,9 @@
 /// Updates are lazy: mutations only mark work, and the next read does it.
 /// A target change re-runs only the backward pass; rebuild() makes the next
 /// read a full pass. The worklists are sized once, so a steady-state move
-/// allocates nothing.
+/// allocates nothing. Slack is read through slacks(): one sync, then a view
+/// over the arrays, so a scan over every gate pays two loads and a compare
+/// per gate instead of a lazy currency check.
 
 #pragma once
 
@@ -81,12 +83,32 @@ class CornerTimer {
     if (!arrivals_current_) update_arrivals();
     return critical_ps_;
   }
-  /// Required minus arrival against the current target. Throws
-  /// NumericalError when a recomputed required time is NaN or -inf.
-  double slack_ps(GateId id) {
+
+  /// Slack read straight off the timer's arrays: required (clamped to the
+  /// target where no output is reached) minus arrival, against the current
+  /// target. Valid until the next mutation of the timer.
+  class SlackView {
+   public:
+    double operator[](GateId id) const {
+      const double req = required_[id];
+      return (req == kInf ? target_ps_ : req) - arrival_[id];
+    }
+
+   private:
+    friend class CornerTimer;
+    SlackView(const double* required, const double* arrival, double target)
+        : required_(required), arrival_(arrival), target_ps_(target) {}
+    const double* required_;
+    const double* arrival_;
+    double target_ps_;
+  };
+
+  /// Brings arrivals and required times current, then returns a view that
+  /// reads every slack without further checks. Throws NumericalError when a
+  /// recomputed required time is NaN or -inf.
+  SlackView slacks() {
     if (!required_current_) update_required();
-    const double req = required_[id];
-    return (req == kInf ? target_ps_ : req) - arrival_[id];
+    return SlackView(required_.data(), arrival_.data(), target_ps_);
   }
 
  private:

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/impl_io.hpp"
 #include "obs/registry.hpp"
+#include "report/flow.hpp"
 #include "sta/sta.hpp"
 #include "tech/process.hpp"
 #include "util/error.hpp"
@@ -270,6 +272,38 @@ TEST_F(ApiTest, RunFlowCommandCompletes) {
   EXPECT_TRUE(r.outcome.completed);
   EXPECT_GT(r.outcome.t_max_ps, 0.0);
   EXPECT_GT(r.outcome.stat_metrics.timing_yield, 0.0);
+}
+
+TEST_F(ApiTest, FlowDeadlineInterruptsDmin) {
+  // D_min runs inside the flow's budget and stops at the budget like every
+  // later phase: a 1 ms flow returns incomplete long before an unbudgeted
+  // D_min pass alone would finish.
+  const Circuit c7552p = iscas85_proxy("c7552p");
+  const CellLibrary lib(generic_100nm());
+  const auto dmin_start = std::chrono::steady_clock::now();
+  const double d_min = min_achievable_delay_ps(c7552p, lib);
+  const double dmin_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - dmin_start)
+                            .count();
+
+  api::FlowCommandConfig cfg;
+  cfg.input.bench_text = bench_text(c7552p);
+  cfg.flow.deadline_ms = 1;
+  obs::Registry reg;
+  const auto flow_start = std::chrono::steady_clock::now();
+  const api::FlowCommandResult r = api::run_flow_command(cfg, &reg);
+  const double flow_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - flow_start)
+                            .count();
+  EXPECT_FALSE(r.outcome.completed);
+  EXPECT_EQ(r.exit_code(), 4);
+  EXPECT_FALSE(reg.completed());
+  EXPECT_EQ(reg.incomplete_reason(), "deadline");
+  // A cut-short D_min is the delay the partial upsizing reached: never
+  // below the true floor.
+  EXPECT_GE(r.outcome.d_min_ps, d_min);
+  EXPECT_LT(flow_s, 0.5 * dmin_s) << "unbudgeted D_min took " << dmin_s
+                                  << " s";
 }
 
 }  // namespace

@@ -74,10 +74,11 @@ class CornerTimerTest : public ::testing::Test {
     const StaEngine sta(c, lib_);
     const StaResult r = sta.analyze_corner(target, var_, k_sigma);
     ASSERT_EQ(bits(timer.critical_delay_ps()), bits(r.critical_delay_ps));
+    const CornerTimer::SlackView slacks = timer.slacks();
     for (GateId id = 0; id < c.num_gates(); ++id) {
       ASSERT_EQ(bits(timer.arrival_ps(id)), bits(r.arrival_ps[id]))
           << "arrival of gate " << id;
-      ASSERT_EQ(bits(timer.slack_ps(id)), bits(r.slack_ps[id]))
+      ASSERT_EQ(bits(slacks[id]), bits(r.slack_ps[id]))
           << "slack of gate " << id;
       ASSERT_EQ(bits(timer.delay_ps(id)),
                 bits(sta.gate_delay_corner_ps(id, var_, k_sigma)))
@@ -171,18 +172,18 @@ TEST_F(CornerTimerTest, DanglingGateSlackIsClampedToTarget) {
   const double target = 250.0;
   CornerTimer timer(c, lib_, var_, 0.0, target);
   const GateId d3 = c.find("d3");
-  EXPECT_EQ(timer.slack_ps(d3), target - timer.arrival_ps(d3));
+  EXPECT_EQ(timer.slacks()[d3], target - timer.arrival_ps(d3));
 }
 
 TEST_F(CornerTimerTest, NonFiniteTargetIsAStructuredError) {
   const Circuit c = iscas85_proxy("c432p");
   CornerTimer timer(c, lib_, var_, 1.5, 500.0);
-  (void)timer.slack_ps(0);
+  (void)timer.slacks();
   timer.set_target(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_THROW((void)timer.slack_ps(0), NumericalError);
-  EXPECT_THROW((void)timer.slack_ps(0), NumericalError);
+  EXPECT_THROW((void)timer.slacks(), NumericalError);
+  EXPECT_THROW((void)timer.slacks(), NumericalError);
   timer.set_target(-std::numeric_limits<double>::infinity());
-  EXPECT_THROW((void)timer.slack_ps(0), NumericalError);
+  EXPECT_THROW((void)timer.slacks(), NumericalError);
   // A valid target recovers the timer.
   timer.set_target(500.0);
   expect_matches_oracle(c, timer, 500.0, 1.5);

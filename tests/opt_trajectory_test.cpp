@@ -118,7 +118,7 @@ TEST_P(TrajectoryTest, MatchesGoldenFlat) {
   // actually be engaged: without them the run would take one full pass per
   // query.
   EXPECT_GT(reg.counter_value("ssta.flat_incremental_passes"), 0.0);
-  EXPECT_LT(reg.counter_value("ssta.flat_full_passes"), 10.0);
+  EXPECT_EQ(reg.counter_value("ssta.flat_full_passes"), 1.0);
   EXPECT_GT(reg.counter_value("ssta.flat_cone_gates_retimed"), 0.0);
   EXPECT_GT(reg.counter_value("opt.flat_passes"), 0.0);
   EXPECT_GT(reg.counter_value("opt.candidate_blocks"), 0.0);

@@ -14,12 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "gen/random_dag.hpp"
 #include "leakage/leakage.hpp"
+#include "obs/registry.hpp"
 #include "spatial/placement.hpp"
 #include "spatial/spatial_model.hpp"
 #include "spatial/spatial_ssta.hpp"
@@ -129,11 +131,9 @@ testing::AssertionResult states_match(const Circuit& c, const CellLibrary& lib,
 
 /// 1000-step random walk of committed moves, rolled-back trials and
 /// committed trials; bit-identity asserted against fresh engines after
-/// every step. `trial_log_cap` > 0 shrinks the trial undo log so large
-/// cones take the lost-baseline rollback path.
+/// every step.
 void run_random_walk(const CellLibrary& lib, const VariationModel& var,
-                     const std::vector<Circuit>& circuits,
-                     std::size_t trial_log_cap = 0) {
+                     const std::vector<Circuit>& circuits) {
   const auto steps = lib.size_steps();
   for (std::size_t walk = 0; walk < circuits.size(); ++walk) {
     Circuit c = circuits[walk];
@@ -142,7 +142,6 @@ void run_random_walk(const CellLibrary& lib, const VariationModel& var,
       if (c.gate(id).kind != CellKind::kInput) cells.push_back(id);
     }
     FlatSstaEngine inc(c, lib, var);
-    if (trial_log_cap > 0) inc.set_trial_log_cap(trial_log_cap);
     LeakageAnalyzer leak(c, lib, var);
     Rng rng((walk + 1) * 11000033ull);
 
@@ -208,10 +207,68 @@ TEST_F(SstaIncrementalTest, FlatEngineRandomWalkMatchesScalarEverySeed) {
   run_random_walk(lib_, var_, walk_circuits());
 }
 
-/// The same walk with a tiny trial log: most trials overflow the cap and
-/// roll back by dropping the cache and re-priming with a full pass.
-TEST_F(SstaIncrementalTest, FlatEngineTrialLogCapFallbackStaysExact) {
-  run_random_walk(lib_, var_, walk_circuits(), /*trial_log_cap=*/4);
+/// Rolled-back trials whose cones span most of the circuit: the undo log
+/// restores them entry by entry however large they are, so the engine is
+/// primed by exactly one full pass for the whole walk — no rollback ever
+/// falls back to re-timing the circuit from scratch.
+TEST_F(SstaIncrementalTest, FlatEngineLargeConeRollbacksNeverReprime) {
+  const auto steps = lib_.size_steps();
+  for (const std::uint64_t seed : {101u, 202u, 303u}) {
+    Circuit c = random_circuit(seed, 2000);
+    const auto cells = cells_of(c);
+    // Gates fed only by primary inputs head the widest fanout cones.
+    std::vector<GateId> roots;
+    for (GateId id : cells) {
+      if (c.level(id) == 1) roots.push_back(id);
+    }
+    ASSERT_FALSE(roots.empty());
+    obs::Registry reg;
+    FlatSstaEngine inc(c, lib_, var_);
+    inc.attach_observer(&reg);
+    LeakageAnalyzer leak(c, lib_, var_);
+    Rng rng(seed * 7919);
+    double widest_cone = 0.0;
+
+    for (int step = 0; step < 150; ++step) {
+      if (rng.uniform() < 0.3) {
+        // Committed move anywhere, left pending into the next trial.
+        const GateId id = cells[rng.uniform_index(cells.size())];
+        c.set_vth(id, c.gate(id).vth == Vth::kLow ? Vth::kHigh : Vth::kLow);
+        inc.on_vth_change(id);
+        leak.on_gate_changed(id);
+      }
+      const GateId id = roots[rng.uniform_index(roots.size())];
+      const Gate saved = c.gate(id);
+      inc.begin_trial();
+      const double retimed_before =
+          reg.counter_value("ssta.flat_cone_gates_retimed");
+      c.set_size(id, steps[rng.uniform_index(steps.size())]);
+      inc.on_resize(id);
+      c.set_vth(id, saved.vth == Vth::kLow ? Vth::kHigh : Vth::kLow);
+      inc.on_vth_change(id);
+      (void)inc.circuit_delay();  // retime the whole cone inside the trial
+      // Criticality refreshed mid-trial must not outlive a rollback.
+      if (rng.uniform() < 0.5) (void)inc.analyze_ref();
+      widest_cone = std::max(
+          widest_cone,
+          reg.counter_value("ssta.flat_cone_gates_retimed") - retimed_before);
+      if (rng.uniform() < 0.8) {
+        inc.rollback_trial();
+        c.set_size(id, saved.size);
+        c.set_vth(id, saved.vth);
+      } else {
+        inc.commit_trial();
+        leak.on_gate_changed(id);
+      }
+      ASSERT_TRUE(states_match(c, lib_, var_, inc, leak))
+          << "seed " << seed << ", step " << step;
+      ASSERT_EQ(reg.counter_value("ssta.flat_full_passes"), 1.0)
+          << "seed " << seed << ", step " << step;
+    }
+    // The walk did reach cones covering most of the circuit.
+    EXPECT_GT(widest_cone, 0.5 * static_cast<double>(cells.size()))
+        << "seed " << seed;
+  }
 }
 
 /// Full passes on the flat engine: rebuild_loads() after every move drops
