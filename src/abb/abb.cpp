@@ -161,11 +161,8 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
             for (std::size_t lane = 0; lane < lanes; ++lane) {
               Rng rng = Rng::stream(mc.seed, s0 + lane);
               const GlobalSample die = sample_global(var, rng);
-              for (std::size_t id = 0; id < n; ++id) {
-                const ParamSample ps = sample_gate(var, die, rng, widths[id]);
-                sc.dl[id * block + lane] = ps.dl_nm;
-                sc.dv[id * block + lane] = ps.dvth_v;
-              }
+              sample_gates(var, die, rng, widths, sc.dl.data() + lane,
+                           sc.dv.data() + lane, block);
             }
             delay_kernel.critical_delay_block(
                 sc.dl.data(), sc.dv.data(), block, lanes, mc.exact_delay,

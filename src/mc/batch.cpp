@@ -18,11 +18,11 @@ void BatchScratch::resize(std::size_t num_gates, std::size_t block_size) {
 std::size_t resolve_batch_size(int requested, std::size_t num_gates) {
   STATLEAK_CHECK(requested >= 0, "batch size must be non-negative (0 = auto)");
   if (requested > 0) return static_cast<std::size_t>(requested);
-  // Auto: three num_gates * B double arrays ~ 3 MiB total => B ~ 2^17 / n,
+  // Auto: three num_gates * B double arrays ~ 1.5 MiB total => B ~ 2^16 / n,
   // clamped so tiny circuits still amortize per-block overhead and huge
   // ones still block.
   const std::size_t n = std::max<std::size_t>(num_gates, 1);
-  return std::clamp<std::size_t>((std::size_t{1} << 17) / n, 8, 64);
+  return std::clamp<std::size_t>((std::size_t{1} << 16) / n, 8, 64);
 }
 
 }  // namespace statleak

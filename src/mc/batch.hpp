@@ -29,9 +29,12 @@ struct BatchScratch {
 };
 
 /// Resolves a requested batch size: a positive request is taken as-is;
-/// 0 picks an automatic size that keeps the three gate-major blocks around
-/// 3 MiB (L2-resident on current cores), clamped to [8, 64]. Throws
-/// statleak::Error on negative requests.
+/// 0 picks 2^16 / num_gates clamped to [8, 64], which keeps one worker's
+/// three gate-major blocks (dl, dv, arrival) near 1.5 MiB, inside a 2 MiB
+/// per-core L2. On c7552p blocks of 8..36 lanes run equally fast and 64
+/// lanes (4.5 MiB) run ~25 % slower; the smaller blocks also cut peak
+/// memory by ~1.5 MiB per worker. Throws statleak::Error on negative
+/// requests.
 std::size_t resolve_batch_size(int requested, std::size_t num_gates);
 
 }  // namespace statleak

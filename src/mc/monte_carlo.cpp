@@ -184,14 +184,28 @@ void validate_mc_config(const VariationModel& var, const McConfig& config) {
   }
 }
 
+/// Slots per chunk of the sample loop's dynamic schedule: whole steps of
+/// `step` slots (a batch block, or 1 on the scalar path), about 64 chunks
+/// per worker — enough that the workers finish within a chunk of each
+/// other, few enough that claiming and flushing stay off the profile.
+std::size_t chunk_slots(std::size_t range, std::size_t step, int workers) {
+  const std::size_t steps = (range + step - 1) / step;
+  const std::size_t per_chunk = std::max<std::size_t>(
+      1, steps / (64 * static_cast<std::size_t>(workers)));
+  return per_chunk * step;
+}
+
 /// Computes slots [first, last) of the population, writing slot s to
 /// delay_out[s - first] / leak_out[s - first]. `restored` (nullable,
 /// local-indexed like the outputs) marks slots to skip. `flush(worker,
 /// begin, end)` reports computed *global*-slot runs at
-/// McConfig::checkpoint_every cadence and at shard boundaries; the range
-/// is itself sharded over config.num_threads. Slot values depend only on
-/// (seed, slot), never on the range cut, thread count, batch size or
-/// engine — the property every distributed-merge guarantee rests on.
+/// McConfig::checkpoint_every cadence and wherever a worker's run breaks.
+/// Workers claim whole-block chunks of the range from a shared cursor
+/// (parallel_chunks) and merge their own adjacent chunks into one run, so a
+/// 1-thread run flushes exactly the ranges of one static shard. Slot values
+/// depend only on (seed, slot), never on the range cut, which worker ran a
+/// chunk, the thread count, batch size or engine — the property every
+/// distributed-merge guarantee rests on.
 void run_sample_range(
     const Circuit& circuit, const CellLibrary& lib, const VariationModel& var,
     const McConfig& config, std::size_t first, std::size_t last,
@@ -221,6 +235,14 @@ void run_sample_range(
     return {var.sigma_l_inter_nm * (zl + shift.l_sigma),
             var.sigma_vth_inter_v * (zv + shift.v_sigma)};
   };
+  // Slot s's global draw, with the NaN-deviate fault applied when armed.
+  const auto draw_die = [&](std::size_t slot, Rng& rng) {
+    GlobalSample die = draw_global(slot, rng);
+    if (STATLEAK_FAULT_FIRES(fault::Point::kNanDeviate, slot)) {
+      die.dvth_v = std::numeric_limits<double>::quiet_NaN();
+    }
+    return die;
+  };
 
   // Shared, read-only during the sample loop: the engines' per-sample entry
   // points are const and take caller-owned scratch, so one instance serves
@@ -247,9 +269,66 @@ void run_sample_range(
     flush(worker, first + run_begin, first + run_end);
   };
 
+  // One worker's share of the loop: claims chunks from `cursor` and walks
+  // each in steps of `step` slots, calling eval(s0, lanes) for every step
+  // not entirely restored. A partially restored step (a checkpoint record
+  // may end mid-block) is recomputed whole — the recomputed values are
+  // bitwise identical, so correctness never depends on the cut. Computed
+  // runs flush at the checkpoint cadence, when a restored step or a
+  // non-adjacent chunk breaks them, and at the end.
+  const auto walk = [&](ChunkCursor& cursor, std::size_t step, int worker,
+                        auto&& eval) {
+    std::size_t run_begin = 0;  // first unflushed computed slot
+    std::size_t covered = 0;    // end of processed region
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    while (!stop.load(std::memory_order_relaxed) && cursor.next(begin, end)) {
+      if (begin != covered) {
+        flush_run(worker, run_begin, covered);
+        run_begin = begin;
+        covered = begin;
+      }
+      for (std::size_t s0 = begin; s0 < end; s0 += step) {
+        if (stop.load(std::memory_order_relaxed)) break;
+        if (deadline.expired()) {
+          stop.store(true, std::memory_order_relaxed);
+          break;
+        }
+        const std::size_t lanes = std::min(step, end - s0);
+        bool all_restored = restored != nullptr;
+        for (std::size_t lane = 0; lane < lanes && all_restored; ++lane) {
+          all_restored = restored[s0 + lane] != 0;
+        }
+        if (all_restored) {
+          flush_run(worker, run_begin, s0);
+          run_begin = s0 + lanes;
+          covered = s0 + lanes;
+          continue;
+        }
+        STATLEAK_FAULT_STALL(fault::Point::kShardStall, first + s0);
+        eval(s0, lanes);
+        covered = s0 + lanes;
+        if (covered - run_begin >= flush_every) {
+          flush_run(worker, run_begin, covered);
+          run_begin = covered;
+        }
+      }
+    }
+    flush_run(worker, run_begin, covered);
+  };
+  // Under kFail, the first unhealthy sample stops every worker and throws.
+  const auto check_health = [&](std::size_t s) {
+    if (!fail_fast) return;
+    const std::uint8_t cause = classify_health(delay_out[s], leak_out[s]);
+    if (cause != 0) {
+      stop.store(true, std::memory_order_relaxed);
+      throw_sample_health(first + s, cause);
+    }
+  };
+
   // Sample i draws exclusively from its counter-derived stream and writes
-  // slot i of the output arrays, so shard boundaries (and hence the
-  // thread count) cannot change a single bit of the output. In the batched
+  // slot i of the output arrays, so neither the chunk a worker claims nor
+  // the thread count can change a single bit of the output. In the batched
   // engine, lanes of one block are just consecutive samples evaluated
   // together — they never interact — so the batch size cannot either.
   if (config.use_batched) {
@@ -295,142 +374,84 @@ void run_sample_range(
     }
     std::vector<BatchScratch>& scratch_pool = ar.scratch;
 
-    parallel_for(
-        config.num_threads, range,
-        [&](std::size_t begin, std::size_t end, int worker) {
+    parallel_chunks(
+        config.num_threads, range, chunk_slots(range, block, workers),
+        [&](ChunkCursor& cursor, int worker) {
+          // Per-thread accumulation: one registry merge per worker, so the
+          // workers never contend on the registry mutex inside the loop.
           obs::LocalCounter evals(obs, "mc.sta_evals");
           obs::LocalCounter batches(obs, "mc.batches");
+          obs::LocalTimer draw_time(obs, "mc.draw");
+          obs::LocalTimer kernel_time(obs, "mc.kernel");
           BatchScratch& sc = scratch_pool[static_cast<std::size_t>(worker)];
           sc.resize(n, block);
-          std::size_t run_begin = begin;  // first unflushed computed slot
-          std::size_t covered = begin;    // end of processed region
-          for (std::size_t s0 = begin; s0 < end; s0 += block) {
-            if (stop.load(std::memory_order_relaxed)) break;
-            if (deadline.expired()) {
-              stop.store(true, std::memory_order_relaxed);
-              break;
-            }
-            const std::size_t lanes = std::min(block, end - s0);
-            // A fully restored block is skipped outright. Partially
-            // restored blocks (possible when a checkpoint record ends
-            // mid-block) are recomputed whole — the recomputed values are
-            // bitwise identical, so correctness never depends on the cut.
-            bool all_restored = restored != nullptr;
-            for (std::size_t lane = 0; lane < lanes && all_restored; ++lane) {
-              all_restored = restored[s0 + lane] != 0;
-            }
-            if (all_restored) {
-              flush_run(worker, run_begin, s0);
-              run_begin = s0 + lanes;
-              covered = s0 + lanes;
-              continue;
-            }
-            STATLEAK_FAULT_STALL(fault::Point::kShardStall, first + s0);
+          walk(cursor, block, worker, [&](std::size_t s0, std::size_t lanes) {
             // Draws stay sample-major (lane by lane, the exact call
             // sequence of the scalar path) and are transposed into the
             // gate-major blocks as they land.
+            draw_time.start();
             for (std::size_t lane = 0; lane < lanes; ++lane) {
               const std::size_t slot = first + s0 + lane;
               Rng rng = Rng::stream(config.seed, slot);
-              GlobalSample die = draw_global(slot, rng);
-              if (STATLEAK_FAULT_FIRES(fault::Point::kNanDeviate, slot)) {
-                die.dvth_v = std::numeric_limits<double>::quiet_NaN();
-              }
-              for (std::size_t id = 0; id < n; ++id) {
-                const ParamSample ps = sample_gate(var, die, rng, widths[id]);
-                sc.dl[id * block + lane] = ps.dl_nm;
-                sc.dv[id * block + lane] = ps.dvth_v;
-              }
+              const GlobalSample die = draw_die(slot, rng);
+              sample_gates(var, die, rng, widths, sc.dl.data() + lane,
+                           sc.dv.data() + lane, block);
             }
+            draw_time.stop();
+            kernel_time.start();
             delay_kernel.critical_delay_block(
                 sc.dl.data(), sc.dv.data(), block, lanes, config.exact_delay,
                 nullptr, sc.arrival.data(), sc.delay_out.data());
             leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
                                     nullptr, sc.leak_out.data());
+            kernel_time.stop();
             for (std::size_t lane = 0; lane < lanes; ++lane) {
               delay_out[s0 + lane] = sc.delay_out[lane];
               leak_out[s0 + lane] = sc.leak_out[lane];
-              if (fail_fast) {
-                const std::uint8_t cause = classify_health(
-                    sc.delay_out[lane], sc.leak_out[lane]);
-                if (cause != 0) {
-                  stop.store(true, std::memory_order_relaxed);
-                  throw_sample_health(first + s0 + lane, cause);
-                }
-              }
+              check_health(s0 + lane);
             }
             evals.add(static_cast<double>(lanes));
             batches.add();
-            covered = s0 + lanes;
-            if (covered - run_begin >= flush_every) {
-              flush_run(worker, run_begin, covered);
-              run_begin = covered;
-            }
-          }
-          flush_run(worker, run_begin, covered);
+          });
         });
   } else {
-    // Reference scalar path: one full AoS evaluation per sample. Buffers
-    // are per-worker and reused across the whole shard.
+    // Reference scalar path: one full AoS evaluation per sample, drawn
+    // through the per-gate sample_gate() so it stays an independent oracle
+    // for the batched engine's draw routine. Buffers are per-worker and
+    // reused across the whole run.
     std::vector<std::vector<ParamSample>> sample_pool(
         static_cast<std::size_t>(workers));
     std::vector<std::vector<double>> scratch_pool(
         static_cast<std::size_t>(workers));
 
-    parallel_for(
-        config.num_threads, range,
-        [&](std::size_t begin, std::size_t end, int worker) {
-          // Per-thread accumulation: one registry merge per shard, so the
-          // workers never contend on the registry mutex inside the loop.
+    parallel_chunks(
+        config.num_threads, range, chunk_slots(range, 1, workers),
+        [&](ChunkCursor& cursor, int worker) {
           obs::LocalCounter evals(obs, "mc.sta_evals");
+          obs::LocalTimer draw_time(obs, "mc.draw");
+          obs::LocalTimer kernel_time(obs, "mc.kernel");
           std::vector<ParamSample>& samples =
               sample_pool[static_cast<std::size_t>(worker)];
           samples.resize(n);
           std::vector<double>& scratch =
               scratch_pool[static_cast<std::size_t>(worker)];
-          std::size_t run_begin = begin;
-          std::size_t covered = begin;
-          for (std::size_t s = begin; s < end; ++s) {
-            if (stop.load(std::memory_order_relaxed)) break;
-            if (deadline.expired()) {
-              stop.store(true, std::memory_order_relaxed);
-              break;
-            }
-            if (restored != nullptr && restored[s] != 0) {
-              flush_run(worker, run_begin, s);
-              run_begin = s + 1;
-              covered = s + 1;
-              continue;
-            }
+          walk(cursor, 1, worker, [&](std::size_t s, std::size_t) {
             const std::size_t slot = first + s;
-            STATLEAK_FAULT_STALL(fault::Point::kShardStall, slot);
+            draw_time.start();
             Rng rng = Rng::stream(config.seed, slot);
-            GlobalSample die = draw_global(slot, rng);
-            if (STATLEAK_FAULT_FIRES(fault::Point::kNanDeviate, slot)) {
-              die.dvth_v = std::numeric_limits<double>::quiet_NaN();
-            }
+            const GlobalSample die = draw_die(slot, rng);
             for (std::size_t id = 0; id < n; ++id) {
               samples[id] = sample_gate(var, die, rng, widths[id]);
             }
+            draw_time.stop();
+            kernel_time.start();
             delay_out[s] = sta.critical_delay_sample_ps(
                 samples, config.exact_delay, scratch);
             leak_out[s] = leakage.total_sample_na(samples);
-            if (fail_fast) {
-              const std::uint8_t cause =
-                  classify_health(delay_out[s], leak_out[s]);
-              if (cause != 0) {
-                stop.store(true, std::memory_order_relaxed);
-                throw_sample_health(slot, cause);
-              }
-            }
+            kernel_time.stop();
+            check_health(s);
             evals.add();
-            covered = s + 1;
-            if (covered - run_begin >= flush_every) {
-              flush_run(worker, run_begin, covered);
-              run_begin = covered;
-            }
-          }
-          flush_run(worker, run_begin, covered);
+          });
         });
   }
 }

@@ -9,9 +9,10 @@
 /// (experiment F4) and the source of the distribution histograms (F1).
 ///
 /// Samples are embarrassingly parallel: each draws from a counter-derived
-/// RNG stream (seed x sample index) and the loop is sharded over a thread
-/// pool, with results written by sample index — bit-identical output for
-/// any `num_threads`.
+/// RNG stream (seed x sample index) and writes its result by sample index,
+/// so the thread pool's workers can claim whole-block chunks of the loop
+/// dynamically (util/parallel.hpp, parallel_chunks) — bit-identical output
+/// for any `num_threads`.
 ///
 /// Fault tolerance (see docs/ROBUSTNESS.md): the loop honours
 /// ExecConfig::deadline_ms (clean stop at block boundaries, partial result
@@ -81,8 +82,9 @@ struct McConfig : ExecConfig {
   /// missing slots; otherwise it is created. See mc/checkpoint.hpp.
   std::string checkpoint_path;
 
-  /// Completed samples a shard worker accumulates before appending one
-  /// checkpoint record. Smaller = finer resume granularity, more I/O.
+  /// Completed samples a worker accumulates before appending one
+  /// checkpoint record (a worker also appends wherever its run of
+  /// contiguous slots breaks). Smaller = finer resume granularity, more I/O.
   /// Ignored without checkpoint_path. Values < 1 are clamped to 1.
   int checkpoint_every = 4096;
 
@@ -171,9 +173,10 @@ struct McResult {
 /// Runs the Monte-Carlo analysis. Deterministic for a given config.
 ///
 /// With an observability registry attached, records the "mc.samples" phase
-/// wall time, counters ("mc.samples", "mc.sta_evals" — merged per shard,
-/// not per sample), and an "mc" trace stream of up to 16 progress
-/// milestones (cumulative sample count, running mean delay/leakage).
+/// wall time, the "mc.draw" and "mc.kernel" phases (summed over workers),
+/// counters ("mc.samples", "mc.sta_evals" — merged per worker, not per
+/// sample), and an "mc" trace stream of up to 16 progress milestones
+/// (cumulative sample count, running mean delay/leakage).
 /// Quarantine adds "mc.quarantined*" counters; a deadline stop adds
 /// "mc.samples_done" and marks the registry incomplete. Sample values are
 /// bit-identical with and without a registry.
@@ -227,7 +230,8 @@ McResult finalize_mc_population(const Circuit& circuit, const CellLibrary& lib,
 
 /// Completed-block callback of run_monte_carlo_shard: slots
 /// [begin, begin + delay.size()) with their final values. Invoked
-/// concurrently from shard workers at McConfig::checkpoint_every cadence —
+/// concurrently from the workers at McConfig::checkpoint_every cadence and
+/// wherever a worker's run of contiguous slots breaks —
 /// implementations must be thread-safe (CheckpointWriter::append and the
 /// distributed worker's message send both are).
 using McBlockSink = std::function<void(
@@ -251,7 +255,7 @@ struct McShardResult {
 /// entry point of the distributed runner. `config.num_samples` is still the
 /// *total* population size (it pins the checkpoint hash and, with QMC, the
 /// sample values are indexed by global slot); the range must lie inside it.
-/// The shard is itself sharded over config.num_threads, honours the
+/// The range is itself split over config.num_threads, honours the
 /// deadline and health policy, and reports completed blocks through `sink`
 /// (when set) exactly as they would be checkpointed. Values are
 /// bit-identical to the same slots of a full run for any range cut, thread

@@ -155,6 +155,47 @@ class LocalCounter {
   double pending_ = 0.0;
 };
 
+/// LocalCounter's timer counterpart: start()/stop() laps accumulate into a
+/// local sum that merges into the registry once, on scope exit, as one call
+/// of the named phase. With a null registry no call reads the clock. Lets
+/// sharded workers time their inner phases without touching the registry
+/// mutex; the merged phase is then the sum over workers (worker-seconds).
+class LocalTimer {
+ public:
+  LocalTimer(Registry* registry, const char* phase)
+      : registry_(registry), phase_(phase) {}
+  ~LocalTimer() { flush(); }
+  LocalTimer(const LocalTimer&) = delete;
+  LocalTimer& operator=(const LocalTimer&) = delete;
+
+  void start() {
+    if (registry_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  void stop() {
+    if (registry_ == nullptr) return;
+    seconds_ += std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start_)
+                    .count();
+    laps_ = true;
+  }
+
+  /// Merges the accumulated time now (idempotent: resets the local sum).
+  void flush() {
+    if (registry_ != nullptr && laps_) {
+      registry_->add_phase_s(phase_, seconds_);
+      seconds_ = 0.0;
+      laps_ = false;
+    }
+  }
+
+ private:
+  Registry* registry_;
+  const char* phase_;
+  std::chrono::steady_clock::time_point start_;
+  double seconds_ = 0.0;
+  bool laps_ = false;
+};
+
 /// Times one phase scope. With a null registry the constructor and
 /// destructor do nothing at all — not even a clock read.
 class ScopedTimer {

@@ -51,6 +51,7 @@
 #include "gen/prefix.hpp"
 #include "gen/proxy.hpp"
 #include "gen/random_dag.hpp"
+#include "gen/scaling.hpp"
 #include "gen/structures.hpp"
 
 // sta/

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
+#include <span>
 
 #include "util/rng.hpp"
 
@@ -103,6 +105,40 @@ inline ParamSample sample_gate(const VariationModel& model,
       g.dl_nm + rng.normal(0.0, model.sigma_l_intra_nm),
       g.dvth_v +
           rng.normal(0.0, model.sigma_vth_intra_for(device_width_um))};
+}
+
+/// Draws the per-gate deviates of one die: gate id's dL goes to
+/// dl[id * stride] and its dVth to dv[id * stride], for every id in
+/// [0, widths.size()). Bit for bit the sequence of
+/// `sample_gate(model, g, rng, widths[id])` calls — same normals, same
+/// arithmetic, same order — leaving `rng` in the same state. It is the
+/// Monte-Carlo engines' hot loop, so it works on a local copy of the
+/// generator whose four state words stay in registers across the loop
+/// (written back once), and on local copies of the model's sigmas, which
+/// the stores through `dl`/`dv` could otherwise alias and force to be
+/// reloaded for every gate.
+inline void sample_gates(const VariationModel& model, const GlobalSample& g,
+                         Rng& rng, std::span<const double> widths, double* dl,
+                         double* dv, std::size_t stride) {
+  Rng local = rng;
+  const double g_dl = g.dl_nm;
+  const double g_dvth = g.dvth_v;
+  const double sigma_l = model.sigma_l_intra_nm;
+  const double sigma_v = model.sigma_vth_intra_v;
+  const bool pelgrom = model.pelgrom_vth_scaling;
+  const double ref_width = model.pelgrom_ref_width_um;
+  for (std::size_t id = 0; id < widths.size(); ++id) {
+    // The expressions of sample_gate / sigma_vth_intra_for, on the locals.
+    const double w = widths[id];
+    const double dl_nm = g_dl + local.normal(0.0, sigma_l);
+    const double sigma_vw = !pelgrom || w <= 0.0
+                                ? sigma_v
+                                : sigma_v * std::sqrt(ref_width / w);
+    const double dvth_v = g_dvth + local.normal(0.0, sigma_vw);
+    dl[id * stride] = dl_nm;
+    dv[id * stride] = dvth_v;
+  }
+  rng = local;
 }
 
 }  // namespace statleak

@@ -110,4 +110,19 @@ void parallel_for(
   pool.parallel_for(n, body);
 }
 
+void parallel_chunks(int num_threads, std::size_t n, std::size_t chunk,
+                     const std::function<void(ChunkCursor&, int)>& body) {
+  ChunkCursor cursor(n, chunk);
+  const std::size_t workers = std::min<std::size_t>(
+      static_cast<std::size_t>(resolve_num_threads(num_threads)),
+      cursor.num_chunks());
+  if (workers == 0) return;
+  if (workers == 1) {
+    body(cursor, 0);
+    return;
+  }
+  ThreadPool pool(static_cast<int>(workers));
+  pool.run([&](int w) { body(cursor, w); });
+}
+
 }  // namespace statleak

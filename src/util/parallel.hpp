@@ -3,12 +3,21 @@
 ///
 /// Design rules, in service of reproducibility:
 ///
-///   * No work stealing. [0, n) is split into one contiguous shard per
-///     worker, assigned purely by worker index, so scheduling never
-///     influences which worker computes which element.
+///   * No work stealing in parallel_for. [0, n) is split into one
+///     contiguous shard per worker, assigned purely by worker index, so
+///     scheduling never influences which worker computes which element.
+///     The optimizer's reductions combine per-shard partials in shard
+///     order, so their bits depend on those fixed boundaries: loops like
+///     that must stay on static shards.
 ///   * Callers write results by element index into storage they own; merged
 ///     output is therefore bit-identical for every thread count — the
 ///     property the Monte-Carlo reproducibility tests pin.
+///   * parallel_chunks is the one dynamic schedule: workers claim chunks
+///     from a shared atomic cursor, so a slow worker no longer holds the
+///     whole run back. Which worker runs a chunk depends on timing, so it
+///     is only for loops whose outputs (and RNG streams) are addressed by
+///     element index and which reduce nothing across elements — the
+///     Monte-Carlo sample loop.
 ///   * The calling thread participates as worker 0. A pool of size 1 spawns
 ///     no threads and runs everything inline, so serial behaviour is the
 ///     exact degenerate case of parallel behaviour, not a separate code
@@ -16,6 +25,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -78,5 +89,39 @@ class ThreadPool {
 void parallel_for(
     int num_threads, std::size_t n,
     const std::function<void(std::size_t, std::size_t, int)>& body);
+
+/// Shared cursor over [0, n) cut into chunks of `chunk` elements (the last
+/// one may be short), handed out in increasing order to whichever worker
+/// asks next. Thread-safe.
+class ChunkCursor {
+ public:
+  ChunkCursor(std::size_t n, std::size_t chunk)
+      : n_(n), chunk_(std::max<std::size_t>(chunk, 1)) {}
+
+  /// Number of chunks [0, n) is cut into.
+  std::size_t num_chunks() const { return (n_ + chunk_ - 1) / chunk_; }
+
+  /// Claims the next chunk as [begin, end); false once all are claimed.
+  bool next(std::size_t& begin, std::size_t& end) {
+    const std::size_t c = next_.fetch_add(1, std::memory_order_relaxed);
+    if (c >= num_chunks()) return false;
+    begin = c * chunk_;
+    end = std::min(n_, begin + chunk_);
+    return true;
+  }
+
+ private:
+  std::size_t n_;
+  std::size_t chunk_;
+  std::atomic<std::size_t> next_{0};
+};
+
+/// Dynamic schedule for slot-addressed loops (see the design rules above):
+/// runs body(cursor, worker) on min(resolved threads, number of chunks)
+/// workers, each claiming chunks of [0, n) from one shared cursor until it
+/// is exhausted. With one worker the body runs inline and claims every
+/// chunk in order. The first exception thrown by a body is rethrown.
+void parallel_chunks(int num_threads, std::size_t n, std::size_t chunk,
+                     const std::function<void(ChunkCursor&, int)>& body);
 
 }  // namespace statleak

@@ -83,15 +83,18 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   return static_cast<std::uint64_t>(product >> 64);
 }
 
-double Rng::normal_slow_(std::uint64_t u) {
+Rng::SlowNormal Rng::normal_slow_(std::uint64_t u, State s) {
   const detail::ZigguratTables& z = detail::kZiggurat;
+  const auto uniform = [&s] {
+    return static_cast<double>(next_(s) >> 11) * 0x1.0p-53;
+  };
   for (;;) {
     const std::size_t i = u & 255u;
     const double x = static_cast<double>(u >> 11) * z.layer[i].scale;
     if (x < z.edge[i + 1]) {
       // The integer fast-accept threshold is floored, so the exact boundary
       // mantissa lands here; it is still inside the sub-rectangle.
-      return apply_sign_(x, u);
+      return {apply_sign_(x, u), s};
     }
     if (i == 0) {
       // Base strip beyond r: Marsaglia's exact tail sampler. Guard the
@@ -103,14 +106,14 @@ double Rng::normal_slow_(std::uint64_t u) {
         while (u2 <= 0.0) u2 = uniform();
         const double ex = -std::log(u1) / kTailStart;
         const double ey = -std::log(u2);
-        if (ey + ey > ex * ex) return apply_sign_(kTailStart + ex, u);
+        if (ey + ey > ex * ex) return {apply_sign_(kTailStart + ex, u), s};
       }
     }
     // Wedge: exact accept test against the density, with a fresh uniform
     // for the ordinate (Doornik's correction — never reuse mantissa bits).
     const double y = z.fval[i] + uniform() * (z.fval[i + 1] - z.fval[i]);
-    if (y < std::exp(-0.5 * x * x)) return apply_sign_(x, u);
-    u = (*this)();  // rejected: redraw layer, sign and mantissa together
+    if (y < std::exp(-0.5 * x * x)) return {apply_sign_(x, u), s};
+    u = next_(s);  // rejected: redraw layer, sign and mantissa together
   }
 }
 

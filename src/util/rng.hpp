@@ -85,18 +85,7 @@ class Rng {
   static constexpr result_type max() { return ~result_type{0}; }
 
   /// Next raw 64-bit output.
-  result_type operator()() {
-    const std::uint64_t result =
-        rotl_(state_[0] + state_[3], 23) + state_[0];
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl_(state_[3], 45);
-    return result;
-  }
+  result_type operator()() { return next_(state_); }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform() {
@@ -123,7 +112,9 @@ class Rng {
       const double x = static_cast<double>(mantissa) * layer.scale;
       return apply_sign_(x, u);
     }
-    return normal_slow_(u);
+    const SlowNormal r = normal_slow_(u, state_);
+    state_ = r.state;
+    return r.x;
   }
 
   /// Normal deviate with the given mean and standard deviation.
@@ -148,7 +139,18 @@ class Rng {
     return Rng(stream_seed(seed, counter));
   }
 
+  /// Same state: both generators will produce the same sequence.
+  bool operator==(const Rng& other) const = default;
+
  private:
+  using State = std::array<std::uint64_t, 4>;
+
+  /// A slow-path deviate and the generator state after it.
+  struct SlowNormal {
+    double x;
+    State state;
+  };
+
   static std::uint64_t rotl_(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
@@ -159,12 +161,28 @@ class Rng {
                                  ((u & 256u) << 55));
   }
 
+  /// One xoshiro256++ step on `s`.
+  static std::uint64_t next_(State& s) {
+    const std::uint64_t result = rotl_(s[0] + s[3], 23) + s[0];
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl_(s[3], 45);
+    return result;
+  }
+
   /// Out-of-line ziggurat slow path: boundary re-check, wedge accept test,
   /// and the base-strip tail sampler. `u` is the draw that fell out of the
-  /// fast path.
-  double normal_slow_(std::uint64_t u);
+  /// fast path; `s` is the state after it. The state goes in and comes back
+  /// by value, not through `this`, so a caller that keeps a local Rng across
+  /// a loop (sample_gates in tech/variation.hpp) can hold its four words in
+  /// registers instead of storing them to memory on every draw.
+  static SlowNormal normal_slow_(std::uint64_t u, State s);
 
-  std::array<std::uint64_t, 4> state_{};
+  State state_{};
 };
 
 }  // namespace statleak

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "gen/arithmetic.hpp"
+#include "gen/proxy.hpp"
 #include "mc/checkpoint.hpp"
 #include "mc/monte_carlo.hpp"
 #include "tech/process.hpp"
@@ -419,6 +420,39 @@ TEST_F(CheckpointTest, DeadlineInterruptThenResumeEqualsStraightRun) {
   resumed.checkpoint_path = f.path();
   const McResult res = run_monte_carlo(circuit_, lib_, var_, resumed);
   EXPECT_TRUE(res.completed);
+  ASSERT_EQ(res.delay_ps.size(), ref.delay_ps.size());
+  for (std::size_t i = 0; i < ref.delay_ps.size(); ++i) {
+    ASSERT_EQ(ref.delay_ps[i], res.delay_ps[i]) << "sample " << i;
+    ASSERT_EQ(ref.leakage_na[i], res.leakage_na[i]) << "sample " << i;
+  }
+}
+
+TEST_F(CheckpointTest, FourThreadDeadlineCutResumesToStraightRun) {
+  // Four workers claiming chunks from a shared cursor leave a checkpoint
+  // with holes wherever the deadline caught them; resuming at four threads
+  // must still land on exactly the uninterrupted population. c7552p at
+  // 20000 samples takes far longer than the 20 ms budget, so the first run
+  // is always cut.
+  const Circuit c = iscas85_proxy("c7552p");
+  McConfig cfg = base_config();
+  cfg.num_samples = 20000;
+  cfg.num_threads = 4;
+  const McResult ref = run_monte_carlo(c, lib_, var_, cfg);
+
+  TempFile f("ckpt_deadline_4t.bin");
+  McConfig interrupted = cfg;
+  interrupted.checkpoint_path = f.path();
+  interrupted.checkpoint_every = 64;
+  interrupted.deadline_ms = 20;
+  const McResult part = run_monte_carlo(c, lib_, var_, interrupted);
+  EXPECT_FALSE(part.completed);
+  EXPECT_EQ(part.samples_done, part.delay_ps.size());
+
+  McConfig resumed = cfg;
+  resumed.checkpoint_path = f.path();
+  const McResult res = run_monte_carlo(c, lib_, var_, resumed);
+  EXPECT_TRUE(res.completed);
+  EXPECT_EQ(res.samples_restored, part.samples_done);
   ASSERT_EQ(res.delay_ps.size(), ref.delay_ps.size());
   for (std::size_t i = 0; i < ref.delay_ps.size(); ++i) {
     ASSERT_EQ(ref.delay_ps[i], res.delay_ps[i]) << "sample " << i;

@@ -108,6 +108,29 @@ TEST(Registry, ScopedTimerRecordsOneCallAndIsIdempotent) {
   EXPECT_EQ(reg.phases()[0].calls, 1);
 }
 
+TEST(Registry, LocalTimerMergesItsLapsAsOneCall) {
+  obs::Registry reg;
+  {
+    obs::LocalTimer timer(&reg, "laps");
+    for (int i = 0; i < 3; ++i) {
+      timer.start();
+      timer.stop();
+    }
+    obs::LocalTimer idle(&reg, "idle");  // no laps: merges nothing
+  }
+  const auto phases = reg.phases();
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_EQ(phases[0].name, "laps");
+  EXPECT_EQ(phases[0].calls, 1);
+  EXPECT_GE(phases[0].seconds, 0.0);
+
+  obs::LocalTimer null_timer(nullptr, "laps");  // must not crash or record
+  null_timer.start();
+  null_timer.stop();
+  null_timer.flush();
+  EXPECT_EQ(reg.phases()[0].calls, 1);
+}
+
 TEST(Registry, TraceStreamsKeepEventOrder) {
   obs::Registry reg;
   for (int i = 1; i <= 3; ++i) {
@@ -493,6 +516,40 @@ TEST(Instrumentation, MonteCarloCountersAndMilestones) {
               1e-9 * without.leakage_summary().mean);
   for (std::size_t i = 1; i < milestones.size(); ++i) {
     EXPECT_LT(milestones[i - 1].step, milestones[i].step);
+  }
+}
+
+TEST(Instrumentation, MonteCarloTimesDrawAndKernelPerWorker) {
+  // Each worker times its draws and kernels locally and merges once, so a
+  // phase has one call per worker that ran, and at one thread the two
+  // inner phases fit inside the enclosing mc.samples phase.
+  OptFixture f;
+  McConfig mc;
+  mc.num_samples = 400;
+  for (const bool batched : {true, false}) {
+    for (const int threads : {1, 4}) {
+      mc.use_batched = batched;
+      mc.num_threads = threads;
+      obs::Registry reg;
+      (void)run_monte_carlo(f.circuit, f.lib, f.var, mc, &reg);
+      double samples_s = 0.0;
+      double inner_s = 0.0;
+      int timed = 0;
+      for (const obs::PhaseTime& p : reg.phases()) {
+        if (p.name == "mc.samples") samples_s = p.seconds;
+        if (p.name == "mc.draw" || p.name == "mc.kernel") {
+          ++timed;
+          inner_s += p.seconds;
+          EXPECT_GT(p.seconds, 0.0) << p.name;
+          EXPECT_GE(p.calls, 1) << p.name;
+          EXPECT_LE(p.calls, threads) << p.name;
+        }
+      }
+      EXPECT_EQ(timed, 2) << "batched " << batched << " threads " << threads;
+      if (threads == 1) {
+        EXPECT_LE(inner_s, samples_s);
+      }
+    }
   }
 }
 

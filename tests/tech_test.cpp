@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -376,6 +378,78 @@ TEST(Variation, GatesOnSameDieShareGlobalComponent) {
   }
   // Correlation = sigma_inter^2 / sigma_total^2 = 0.5 for the 50/50 split.
   EXPECT_NEAR(correlation(a, b), 0.5, 0.03);
+}
+
+/// The ziggurat branch the next normal() of a generator in this state
+/// enters first, read off its next raw draw and the public tables.
+enum class ZigBranch { kFast, kBoundary, kWedge, kTail };
+ZigBranch first_branch(Rng rng) {
+  const detail::ZigguratTables& z = detail::kZiggurat;
+  const std::uint64_t u = rng();
+  const std::size_t i = u & 255u;
+  if ((u >> 11) < z.layer[i].accept) return ZigBranch::kFast;
+  const double x = static_cast<double>(u >> 11) * z.layer[i].scale;
+  if (x < z.edge[i + 1]) return ZigBranch::kBoundary;
+  return i == 0 ? ZigBranch::kTail : ZigBranch::kWedge;
+}
+
+TEST(Variation, SampleGatesMatchesSampleGateSequenceBitwise) {
+  // sample_gates is the Monte-Carlo engines' draw loop; it must be the
+  // sequence of sample_global + sample_gate calls bit for bit — values and
+  // final generator state — with Pelgrom scaling on and off, over enough
+  // normals (>= 10^7) that the ziggurat's wedge and tail branches fire.
+  constexpr std::size_t kGates = 25000;
+  constexpr std::size_t kStride = 3;
+  std::vector<double> widths(kGates);
+  for (std::size_t id = 0; id < kGates; ++id) {
+    // Inputs (-1), a zero width, and a spread of real device widths.
+    widths[id] = id % 97 == 0   ? -1.0
+                 : id % 89 == 0 ? 0.0
+                                : 0.3 + 0.01 * static_cast<double>(id % 500);
+  }
+  std::vector<double> dl(kGates * kStride);
+  std::vector<double> dv(kGates * kStride);
+  std::size_t normals = 0;
+  std::size_t wedge = 0;
+  std::size_t tail = 0;
+  for (const bool pelgrom : {false, true}) {
+    VariationModel var = VariationModel::typical_100nm();
+    var.pelgrom_vth_scaling = pelgrom;
+    for (std::uint64_t seed = 0; seed < 100; ++seed) {
+      Rng ref = Rng::stream(0xC0FFEE + seed, seed);
+      Rng got = ref;
+      Rng probe = ref;
+
+      const GlobalSample g_ref = sample_global(var, ref);
+      const GlobalSample g_got = sample_global(var, got);
+      sample_gates(var, g_got, got, widths, dl.data(), dv.data(), kStride);
+      for (std::size_t id = 0; id < kGates; ++id) {
+        const ParamSample p = sample_gate(var, g_ref, ref, widths[id]);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.dl_nm),
+                  std::bit_cast<std::uint64_t>(dl[id * kStride]))
+            << "dl, seed " << seed << " gate " << id << " pelgrom "
+            << pelgrom;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.dvth_v),
+                  std::bit_cast<std::uint64_t>(dv[id * kStride]))
+            << "dv, seed " << seed << " gate " << id << " pelgrom "
+            << pelgrom;
+      }
+      ASSERT_TRUE(got == ref) << "final state, seed " << seed;
+
+      // The same normals once more, classifying each one's first branch.
+      for (std::size_t k = 0; k < 2 + 2 * kGates; ++k) {
+        const ZigBranch b = first_branch(probe);
+        wedge += b == ZigBranch::kWedge ? 1 : 0;
+        tail += b == ZigBranch::kTail ? 1 : 0;
+        (void)probe.normal();
+      }
+      ASSERT_TRUE(probe == ref) << "probe state, seed " << seed;
+      normals += 2 + 2 * kGates;
+    }
+  }
+  EXPECT_GE(normals, std::size_t{10'000'000});
+  EXPECT_GT(wedge, 0u);
+  EXPECT_GT(tail, 0u);
 }
 
 }  // namespace

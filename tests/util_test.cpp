@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <atomic>
@@ -285,6 +287,66 @@ TEST(Parallel, PropagatesWorkerException) {
     count.fetch_add(static_cast<int>(end - begin));
   });
   EXPECT_EQ(count.load(), 100);
+}
+
+TEST(Parallel, ChunksCoverEveryIndexExactlyOnce) {
+  for (int threads : {1, 2, 3, 8}) {
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                              std::size_t{64}, std::size_t{5000}}) {
+      const std::size_t n = 1001;
+      std::vector<std::atomic<int>> hits(n);
+      parallel_chunks(threads, n, chunk, [&](ChunkCursor& cursor, int) {
+        std::size_t begin = 0;
+        std::size_t end = 0;
+        while (cursor.next(begin, end)) {
+          EXPECT_EQ(begin % chunk, 0u);
+          EXPECT_EQ(end, std::min(n, begin + chunk));
+          for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        }
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "threads " << threads << " chunk " << chunk << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(Parallel, OneWorkerClaimsChunksInOrderInline) {
+  std::vector<std::pair<std::size_t, std::size_t>> claimed;
+  int workers_seen = 0;
+  parallel_chunks(1, 10, 4, [&](ChunkCursor& cursor, int worker) {
+    EXPECT_EQ(worker, 0);
+    ++workers_seen;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    while (cursor.next(begin, end)) claimed.emplace_back(begin, end);
+  });
+  EXPECT_EQ(workers_seen, 1);
+  const std::vector<std::pair<std::size_t, std::size_t>> expect = {
+      {0, 4}, {4, 8}, {8, 10}};
+  EXPECT_EQ(claimed, expect);
+  // No chunks, no call; never more workers than chunks.
+  std::atomic<int> calls{0};
+  parallel_chunks(4, 0, 4, [&](ChunkCursor&, int) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 0);
+  parallel_chunks(8, 10, 4, [&](ChunkCursor&, int worker) {
+    EXPECT_LT(worker, 3);
+    calls.fetch_add(1);
+  });
+  EXPECT_EQ(calls.load(), 3);
+}
+
+TEST(Parallel, ChunksPropagateWorkerException) {
+  EXPECT_THROW(parallel_chunks(4, 100, 10,
+                               [&](ChunkCursor& cursor, int) {
+                                 std::size_t begin = 0;
+                                 std::size_t end = 0;
+                                 while (cursor.next(begin, end)) {
+                                   if (begin == 50) throw Error("chunk boom");
+                                 }
+                               }),
+               Error);
 }
 
 // ------------------------------------------------------------- normal ----

@@ -15,7 +15,8 @@
 ///   serve <netlist.bench> [options]       distributed Monte-Carlo campaign
 ///   worker [options]                      campaign worker process
 ///
-/// Circuits for `gen`: any ISCAS85 proxy name (c432 .. c7552), or
+/// Circuits for `gen`: any ISCAS85 proxy name (c432 .. c7552), a member
+/// of the scaling series (s10k / s30k / s100k / s200k, gen/scaling.hpp), or
 /// rca<N> / cla<N> / csel<N> / ks<N> / mult<N> / wal<N> / alu<N> /
 /// parity<N> / rand<N>.
 ///
@@ -320,6 +321,7 @@ commands:
   std::cerr <<
       R"(
 circuits for gen: c432 c499 c880 c1355 c1908 c2670 c3540 c5315 c6288 c7552
+                  s10k s30k s100k s200k
                   rca<N> cla<N> csel<N> ks<N> mult<N> wal<N> alu<N> parity<N> rand<N>
 )";
   return 2;
@@ -516,6 +518,9 @@ Circuit generate(const std::string& spec, std::uint64_t seed) {
     r.num_gates = numeric_suffix("rand");
     r.seed = seed;
     return make_random_dag(r);
+  }
+  for (const ScalingSpec& s : scaling_series()) {
+    if (s.name == spec) return scaling_circuit(spec);
   }
   return iscas85_proxy(spec);  // throws with a clear message if unknown
 }
