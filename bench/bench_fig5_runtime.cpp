@@ -10,13 +10,15 @@
 /// measures single-thread MC throughput of the batched SoA engine against
 /// the scalar reference on c880p/c7552p (docs/PERFORMANCE.md); pipe its
 /// --benchmark_format=json output through tools/bench_to_json.py to
-/// regenerate BENCH_mc.json.
+/// regenerate BENCH_mc.json. BM_LaneDraw times the batched engines' deviate
+/// draw at each SIMD lane width the host supports.
 
 #include <benchmark/benchmark.h>
 
 #include "gen/proxy.hpp"
 #include "gen/random_dag.hpp"
 #include "leakage/leakage.hpp"
+#include "mc/lane_draw.hpp"
 #include "mc/monte_carlo.hpp"
 #include "mc/sweep.hpp"
 #include "opt/deterministic.hpp"
@@ -183,6 +185,43 @@ BENCHMARK(BM_MonteCarloBatched)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1)
     ->UseRealTime();
+
+// -------------------------- lane-parallel deviate draws --------------------
+
+// The batched engines' per-gate draw for one 16-lane block of c7552p (the
+// auto block there), at lane width 1 (sample_gates per lane), 4 (AVX2) and
+// 8 (AVX-512F+DQ). Output is bit-identical across widths
+// (tests/lane_draw_test.cpp); items_per_second counts normals. A width the
+// host lacks is skipped.
+void BM_LaneDraw(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  if (!lane_draw_supported(width)) {
+    state.SkipWithError("lane width not supported on this host");
+    return;
+  }
+  const Circuit c = iscas85_proxy("c7552p");
+  const std::vector<double> widths = mc_device_widths(c, lib());
+  constexpr std::size_t kLanes = 16;
+  std::vector<Rng> rngs(kLanes);
+  std::vector<GlobalSample> dies(kLanes);
+  std::vector<double> dl(widths.size() * kLanes);
+  std::vector<double> dv(widths.size() * kLanes);
+  std::uint64_t block = 0;
+  for (auto _ : state) {
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      rngs[lane] = Rng::stream(1, block * kLanes + lane);
+      dies[lane] = sample_global(var(), rngs[lane]);
+    }
+    draw_lanes(var(), dies, rngs, widths, dl.data(), dv.data(), kLanes,
+               width);
+    benchmark::DoNotOptimize(dl.data());
+    ++block;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * kLanes *
+                                                    widths.size()));
+}
+BENCHMARK(BM_LaneDraw)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 // ------------------------- corner sweep: reuse vs cold (acceptance) -------
 

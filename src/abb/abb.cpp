@@ -5,11 +5,13 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "leakage/batch_leakage.hpp"
 #include "leakage/leakage.hpp"
 #include "mc/batch.hpp"
+#include "mc/lane_draw.hpp"
 #include "netlist/flat_circuit.hpp"
 #include "sta/batch_delay.hpp"
 #include "sta/sta.hpp"
@@ -159,11 +161,12 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
                       (1.0 + static_cast<double>(ladder.size())));
             batches.add();
             for (std::size_t lane = 0; lane < lanes; ++lane) {
-              Rng rng = Rng::stream(mc.seed, s0 + lane);
-              const GlobalSample die = sample_global(var, rng);
-              sample_gates(var, die, rng, widths, sc.dl.data() + lane,
-                           sc.dv.data() + lane, block);
+              sc.rngs[lane] = Rng::stream(mc.seed, s0 + lane);
+              sc.dies[lane] = sample_global(var, sc.rngs[lane]);
             }
+            draw_lanes(var, std::span(sc.dies).first(lanes),
+                       std::span(sc.rngs).first(lanes), widths, sc.dl.data(),
+                       sc.dv.data(), block);
             delay_kernel.critical_delay_block(
                 sc.dl.data(), sc.dv.data(), block, lanes, mc.exact_delay,
                 nullptr, sc.arrival.data(), sc.delay_out.data());

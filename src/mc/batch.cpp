@@ -8,6 +8,8 @@ namespace statleak {
 
 void BatchScratch::resize(std::size_t num_gates, std::size_t block_size) {
   block = block_size;
+  rngs.assign(block_size, Rng());
+  dies.assign(block_size, GlobalSample{});
   dl.assign(num_gates * block_size, 0.0);
   dv.assign(num_gates * block_size, 0.0);
   arrival.assign(num_gates * block_size, 0.0);
@@ -19,10 +21,11 @@ std::size_t resolve_batch_size(int requested, std::size_t num_gates) {
   STATLEAK_CHECK(requested >= 0, "batch size must be non-negative (0 = auto)");
   if (requested > 0) return static_cast<std::size_t>(requested);
   // Auto: three num_gates * B double arrays ~ 1.5 MiB total => B ~ 2^16 / n,
-  // clamped so tiny circuits still amortize per-block overhead and huge
-  // ones still block.
+  // rounded to whole 8-lane SIMD groups, clamped so tiny circuits still
+  // amortize per-block overhead and huge ones still block.
   const std::size_t n = std::max<std::size_t>(num_gates, 1);
-  return std::clamp<std::size_t>((std::size_t{1} << 16) / n, 8, 64);
+  const std::size_t lanes = (std::size_t{1} << 16) / n;
+  return std::clamp<std::size_t>((lanes + 4) / 8 * 8, 8, 64);
 }
 
 }  // namespace statleak

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "leakage/batch_leakage.hpp"
@@ -13,6 +14,7 @@
 #include "mc/arena.hpp"
 #include "mc/batch.hpp"
 #include "mc/checkpoint.hpp"
+#include "mc/lane_draw.hpp"
 #include "netlist/flat_circuit.hpp"
 #include "sta/batch_delay.hpp"
 #include "sta/sta.hpp"
@@ -262,11 +264,15 @@ void run_sample_range(
   std::atomic<bool> stop{false};
   const bool fail_fast = config.health_policy == HealthPolicy::kFail;
 
-  // Reports [run_begin, run_end) (in local coordinates) as global slots.
-  const auto flush_run = [&flush, first](int worker, std::size_t run_begin,
+  // Reports [run_begin, run_end) (in local coordinates) as global slots,
+  // timing the checkpoint append or sink call on the worker's io clock.
+  const auto flush_run = [&flush, first](obs::LocalTimer& io_time, int worker,
+                                         std::size_t run_begin,
                                          std::size_t run_end) {
     if (run_end <= run_begin) return;
+    io_time.start();
     flush(worker, first + run_begin, first + run_end);
+    io_time.stop();
   };
 
   // One worker's share of the loop: claims chunks from `cursor` and walks
@@ -278,13 +284,14 @@ void run_sample_range(
   // non-adjacent chunk breaks them, and at the end.
   const auto walk = [&](ChunkCursor& cursor, std::size_t step, int worker,
                         auto&& eval) {
+    obs::LocalTimer io_time(obs, "mc.checkpoint_io");
     std::size_t run_begin = 0;  // first unflushed computed slot
     std::size_t covered = 0;    // end of processed region
     std::size_t begin = 0;
     std::size_t end = 0;
     while (!stop.load(std::memory_order_relaxed) && cursor.next(begin, end)) {
       if (begin != covered) {
-        flush_run(worker, run_begin, covered);
+        flush_run(io_time, worker, run_begin, covered);
         run_begin = begin;
         covered = begin;
       }
@@ -300,7 +307,7 @@ void run_sample_range(
           all_restored = restored[s0 + lane] != 0;
         }
         if (all_restored) {
-          flush_run(worker, run_begin, s0);
+          flush_run(io_time, worker, run_begin, s0);
           run_begin = s0 + lanes;
           covered = s0 + lanes;
           continue;
@@ -309,12 +316,12 @@ void run_sample_range(
         eval(s0, lanes);
         covered = s0 + lanes;
         if (covered - run_begin >= flush_every) {
-          flush_run(worker, run_begin, covered);
+          flush_run(io_time, worker, run_begin, covered);
           run_begin = covered;
         }
       }
     }
-    flush_run(worker, run_begin, covered);
+    flush_run(io_time, worker, run_begin, covered);
   };
   // Under kFail, the first unhealthy sample stops every worker and throws.
   const auto check_health = [&](std::size_t s) {
@@ -386,17 +393,18 @@ void run_sample_range(
           BatchScratch& sc = scratch_pool[static_cast<std::size_t>(worker)];
           sc.resize(n, block);
           walk(cursor, block, worker, [&](std::size_t s0, std::size_t lanes) {
-            // Draws stay sample-major (lane by lane, the exact call
-            // sequence of the scalar path) and are transposed into the
-            // gate-major blocks as they land.
+            // Each lane's global draw, then the per-gate deviates of all
+            // lanes at once: draw_lanes gives every lane the exact call
+            // sequence of the scalar path, written gate-major.
             draw_time.start();
             for (std::size_t lane = 0; lane < lanes; ++lane) {
               const std::size_t slot = first + s0 + lane;
-              Rng rng = Rng::stream(config.seed, slot);
-              const GlobalSample die = draw_die(slot, rng);
-              sample_gates(var, die, rng, widths, sc.dl.data() + lane,
-                           sc.dv.data() + lane, block);
+              sc.rngs[lane] = Rng::stream(config.seed, slot);
+              sc.dies[lane] = draw_die(slot, sc.rngs[lane]);
             }
+            draw_lanes(var, std::span(sc.dies).first(lanes),
+                       std::span(sc.rngs).first(lanes), widths, sc.dl.data(),
+                       sc.dv.data(), block);
             draw_time.stop();
             kernel_time.start();
             delay_kernel.critical_delay_block(
@@ -598,6 +606,7 @@ McResult finalize_mc_population(const Circuit& circuit, const CellLibrary& lib,
                                 const McConfig& config, McPopulation&& pop,
                                 obs::Registry* obs) {
   validate_mc_config(var, config);
+  obs::ScopedTimer timer(obs, "mc.finalize");
   const auto num_samples = static_cast<std::size_t>(config.num_samples);
   STATLEAK_CHECK(pop.delay_ps.size() == num_samples &&
                      pop.leakage_na.size() == num_samples &&

@@ -116,7 +116,10 @@ inline ParamSample sample_gate(const VariationModel& model,
 /// generator whose four state words stay in registers across the loop
 /// (written back once), and on local copies of the model's sigmas, which
 /// the stores through `dl`/`dv` could otherwise alias and force to be
-/// reloaded for every gate.
+/// reloaded for every gate. The batched engines call it through
+/// draw_lanes (mc/lane_draw.hpp), which runs W dies of a block at once in
+/// SIMD lanes with this routine's exact arithmetic and keeps sample_gates
+/// for the lanes left over; its tests use sample_gates as the reference.
 inline void sample_gates(const VariationModel& model, const GlobalSample& g,
                          Rng& rng, std::span<const double> widths, double* dl,
                          double* dv, std::size_t stride) {

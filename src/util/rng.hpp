@@ -24,6 +24,14 @@
 /// paths call std::exp/std::log, so cross-*libm* bit reproducibility has the
 /// same caveat the Box–Muller transform had. Within one toolchain the
 /// sequence is bit-stable, which is what the MC determinism tests pin.
+///
+/// Lane-parallel draws: the batched Monte-Carlo engines step W generators
+/// at once in SIMD lanes (mc/lane_draw.hpp). That kernel repeats the
+/// xoshiro256++ step and the ziggurat fast path above per lane, gathers the
+/// same table entries, and hands a lane that misses the fast path to the
+/// one normal_slow_ below with that lane's state — through the narrow
+/// detail::RngLanes accessor, so the generator is not copied and every
+/// lane's sequence stays exactly Rng::normal()'s.
 
 #pragma once
 
@@ -67,6 +75,11 @@ struct ZigguratTables {
 /// deviates from other translation units' static initializers — the usual
 /// cross-TU dynamic-initialization ordering caveat applies.
 extern const ZigguratTables kZiggurat;
+
+/// Narrow access to a generator's state words and its out-of-line slow
+/// path for the lane-parallel draw kernel, which steps W generators in SIMD
+/// lanes (defined in mc/lane_draw.cpp; see mc/lane_draw.hpp).
+struct RngLanes;
 
 }  // namespace detail
 
@@ -143,6 +156,8 @@ class Rng {
   bool operator==(const Rng& other) const = default;
 
  private:
+  friend struct detail::RngLanes;
+
   using State = std::array<std::uint64_t, 4>;
 
   /// A slow-path deviate and the generator state after it.

@@ -14,6 +14,7 @@
 
 #include "abb/abb.hpp"
 #include "gen/proxy.hpp"
+#include "mc/batch.hpp"
 #include "mc/monte_carlo.hpp"
 #include "spatial/spatial_analysis.hpp"
 #include "spatial/placement.hpp"
@@ -189,6 +190,82 @@ TEST_F(McBatchedModesTest, AbbExperimentBitIdentical) {
                            threads);
     }
   }
+}
+
+// Batch sizes around the 8- and 4-lane SIMD groups of the deviate draw
+// (mc/lane_draw.hpp): whole groups beside scalar remainder lanes.
+constexpr int kLaneBatches[] = {1, 7, 8, 9, 16, 17, 0};  // 0 = auto
+constexpr int kLaneThreads[] = {1, 3};
+
+TEST_F(McBatchedModesTest, LaneGroupBoundariesBitIdentical) {
+  const Circuit c = iscas85_proxy("c880p");
+  VariationModel var = var_;
+  var.pelgrom_vth_scaling = true;
+  McConfig cfg;
+  cfg.num_samples = 75;
+  cfg.seed = 43;
+  cfg.num_threads = 1;
+  cfg.use_batched = false;
+  const McResult ref = run_monte_carlo(c, lib_, var, cfg);
+
+  cfg.use_batched = true;
+  for (const int batch : kLaneBatches) {
+    for (const int threads : kLaneThreads) {
+      cfg.batch_size = batch;
+      cfg.num_threads = threads;
+      const McResult got = run_monte_carlo(c, lib_, var, cfg);
+      expect_bitwise_equal(ref.delay_ps, got.delay_ps, "lane delay", batch,
+                           threads);
+      expect_bitwise_equal(ref.leakage_na, got.leakage_na, "lane leakage",
+                           batch, threads);
+    }
+  }
+}
+
+TEST_F(McBatchedModesTest, AbbLaneGroupBoundariesBitIdentical) {
+  const Circuit c = iscas85_proxy("c432p");
+  const BodyBiasConfig abb;
+  const double t_max = 1200.0;
+  McConfig cfg;
+  cfg.num_samples = 41;
+  cfg.seed = 47;
+  cfg.num_threads = 1;
+  cfg.use_batched = false;
+  const AbbResult ref = run_abb_experiment(c, lib_, var_, abb, cfg, t_max);
+
+  cfg.use_batched = true;
+  for (const int batch : kLaneBatches) {
+    for (const int threads : kLaneThreads) {
+      cfg.batch_size = batch;
+      cfg.num_threads = threads;
+      const AbbResult got =
+          run_abb_experiment(c, lib_, var_, abb, cfg, t_max);
+      expect_bitwise_equal(ref.baseline.delay_ps, got.baseline.delay_ps,
+                           "abb lane baseline delay", batch, threads);
+      expect_bitwise_equal(ref.baseline.leakage_na, got.baseline.leakage_na,
+                           "abb lane baseline leakage", batch, threads);
+      expect_bitwise_equal(ref.compensated.delay_ps, got.compensated.delay_ps,
+                           "abb lane compensated delay", batch, threads);
+      expect_bitwise_equal(ref.compensated.leakage_na,
+                           got.compensated.leakage_na,
+                           "abb lane compensated leakage", batch, threads);
+      expect_bitwise_equal(ref.bias_v, got.bias_v, "abb lane bias", batch,
+                           threads);
+    }
+  }
+}
+
+TEST_F(McBatchedModesTest, AutoBatchIsWholeLaneGroups) {
+  // Auto blocks round 2^16 / gates to the nearest multiple of 8 lanes
+  // within [8, 64], so no lane of an auto block takes the scalar remainder.
+  EXPECT_EQ(resolve_batch_size(0, iscas85_proxy("c5315p").num_gates()), 24u);
+  EXPECT_EQ(resolve_batch_size(0, iscas85_proxy("c7552p").num_gates()), 16u);
+  EXPECT_EQ(resolve_batch_size(0, 1), 64u);
+  EXPECT_EQ(resolve_batch_size(0, 1u << 20), 8u);
+  for (std::size_t n = 1; n < 20000; n += 37) {
+    EXPECT_EQ(resolve_batch_size(0, n) % 8, 0u) << n << " gates";
+  }
+  EXPECT_EQ(resolve_batch_size(7, 5000), 7u);  // explicit requests as-is
 }
 
 TEST_F(McBatchedModesTest, LargeProxyBitIdentical) {

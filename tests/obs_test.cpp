@@ -3,8 +3,11 @@
 ///        golden run-report schema, trace/iteration invariants, and the
 ///        "observation never changes results" contract.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <thread>
@@ -551,6 +554,45 @@ TEST(Instrumentation, MonteCarloTimesDrawAndKernelPerWorker) {
       }
     }
   }
+}
+
+TEST(Instrumentation, MonteCarloLedgerCoversTheSampleLoop) {
+  // mc.draw + mc.kernel + mc.checkpoint_io + mc.finalize account for the
+  // enclosing mc.samples phase at one thread: what is left is setup
+  // (engine and kernel construction, scratch) and loop bookkeeping.
+  const CellLibrary lib{generic_100nm()};
+  const VariationModel var = VariationModel::typical_100nm();
+  const Circuit c = iscas85_proxy("c880p");
+  const std::filesystem::path ckpt =
+      std::filesystem::temp_directory_path() /
+      ("statleak_obs_ledger_" + std::to_string(::getpid()) + ".ckpt");
+  std::filesystem::remove(ckpt);
+  McConfig mc;
+  mc.num_samples = 6000;
+  mc.num_threads = 1;
+  mc.checkpoint_path = ckpt.string();
+  mc.checkpoint_every = 500;
+  obs::Registry reg;
+  (void)run_monte_carlo(c, lib, var, mc, &reg);
+  std::filesystem::remove(ckpt);
+
+  double samples_s = 0.0;
+  double ledger_s = 0.0;
+  int parts = 0;
+  for (const obs::PhaseTime& p : reg.phases()) {
+    if (p.name == "mc.samples") samples_s = p.seconds;
+    if (p.name == "mc.draw" || p.name == "mc.kernel" ||
+        p.name == "mc.checkpoint_io" || p.name == "mc.finalize") {
+      ++parts;
+      ledger_s += p.seconds;
+      EXPECT_EQ(p.calls, 1) << p.name;
+    }
+  }
+  EXPECT_EQ(parts, 4);
+  ASSERT_GT(samples_s, 0.0);
+  EXPECT_GE(ledger_s, 0.95 * samples_s)
+      << "ledger " << ledger_s << " s of mc.samples " << samples_s << " s";
+  EXPECT_LE(ledger_s, samples_s);
 }
 
 TEST(Instrumentation, MonteCarloMilestonesAreThreadCountInvariant) {

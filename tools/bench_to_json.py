@@ -8,8 +8,11 @@ Default mode reads the Google Benchmark JSON emitted by
 
 from a file (or stdin) and distills the Monte-Carlo throughput series into
 samples/sec per (circuit, engine), plus the batched/scalar speedup per
-circuit.  When the run used --benchmark_repetitions, the median aggregate is
-preferred; otherwise the median over the plain iteration entries is taken.
+circuit.  When the run used --benchmark_repetitions (CI passes 10 with
+--benchmark_report_aggregates_only=true: one repetition is one MC run and
+moved +-17 % between back-to-back runs), the median aggregate is taken and
+the repetition count is recorded as "statistic"; otherwise the median over
+the plain iteration entries.
 
 With --estimators the input is instead the JSON document printed by
 bench_estimator_variance (across-replication variance per circuit, metric,
@@ -52,6 +55,7 @@ def distill(raw: dict) -> dict:
     # separately and win over per-iteration samples when present.
     samples: dict[tuple[str, str], list[float]] = {}
     medians: dict[tuple[str, str], float] = {}
+    repetitions: set[int] = set()
     for entry in raw.get("benchmarks", []):
         if not entry.get("name", "").startswith("BM_MonteCarloBatched"):
             continue
@@ -64,6 +68,7 @@ def distill(raw: dict) -> dict:
         if entry.get("run_type") == "aggregate":
             if entry.get("aggregate_name") == "median":
                 medians[key] = entry["items_per_second"]
+                repetitions.add(int(entry.get("repetitions", 0)))
             continue
         samples.setdefault(key, []).append(entry["items_per_second"])
 
@@ -89,6 +94,13 @@ def distill(raw: dict) -> dict:
         "generated_by": "tools/bench_to_json.py",
         "benchmark": "bench_fig5_runtime:BM_MonteCarloBatched",
         "unit": "monte-carlo samples per second, single thread",
+        "statistic": (
+            "median of "
+            + "/".join(str(r) for r in sorted(repetitions))
+            + " repetitions"
+            if medians
+            else "median of iterations"
+        ),
         "host": {
             "num_cpus": context.get("num_cpus"),
             "mhz_per_cpu": context.get("mhz_per_cpu"),
