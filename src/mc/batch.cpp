@@ -8,13 +8,16 @@ namespace statleak {
 
 void BatchScratch::resize(std::size_t num_gates, std::size_t block_size) {
   block = block_size;
-  rngs.assign(block_size, Rng());
-  dies.assign(block_size, GlobalSample{});
   dl.assign(num_gates * block_size, 0.0);
   dv.assign(num_gates * block_size, 0.0);
   arrival.assign(num_gates * block_size, 0.0);
   delay_out.assign(block_size, 0.0);
   leak_out.assign(block_size, 0.0);
+  // The small per-lane arrays go last: allocated before the gate-major
+  // blocks they fragmented the worker heaps, and peak RSS of back-to-back
+  // 150k-sample c7552p runs crept up by ~0.5 MB.
+  rngs.assign(block_size, Rng());
+  dies.assign(block_size, GlobalSample{});
 }
 
 std::size_t resolve_batch_size(int requested, std::size_t num_gates) {

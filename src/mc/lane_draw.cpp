@@ -28,30 +28,18 @@ namespace {
 
 using LaneKernel = void (*)(const lane::Job&);
 
-/// The kernels this host can run, probed once: index 0 is W = 4 (AVX2),
-/// index 1 is W = 8 (AVX-512F+DQ); nullptr where the build or the host
-/// lacks the ISA.
-const std::array<LaneKernel, 2>& host_kernels() {
-  static const std::array<LaneKernel, 2> kernels = [] {
-    std::array<LaneKernel, 2> k{};
-#if defined(__x86_64__) && defined(STATLEAK_LANE_KERNELS)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) k[0] = lane::draw_avx2;
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512dq")) {
-      k[1] = lane::draw_avx512;
-    }
-#endif
-    return k;
-  }();
-  return kernels;
-}
-
-/// The kernel for `width` lanes, or nullptr (also for widths other than 4
-/// and 8).
+/// The kernel for `width` lanes if this build and host have its ISA (probed
+/// once), else nullptr (also for widths other than 4 and 8).
 LaneKernel kernel_for(int width) {
-  if (width == 4) return host_kernels()[0];
-  if (width == 8) return host_kernels()[1];
+#if defined(__x86_64__) && defined(STATLEAK_LANE_KERNELS)
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  static const bool avx512 = __builtin_cpu_supports("avx512f") &&
+                             __builtin_cpu_supports("avx512dq");
+  if (width == 4 && avx2) return lane::draw_avx2;
+  if (width == 8 && avx512) return lane::draw_avx512;
+#else
+  (void)width;
+#endif
   return nullptr;
 }
 

@@ -4,11 +4,12 @@
 /// Private to the mc library. One template, instantiated once per ISA in its
 /// own translation unit (lane_kernel_avx2.cpp, lane_kernel_avx512.cpp), each
 /// compiled with its -m flags and -ffp-contract=off; lane_draw.cpp picks the
-/// instantiation at run time. That is why this header includes nothing but
-/// <immintrin.h>, <cmath> and <cstdint>, and why the template and its ops
-/// live in an anonymous namespace: no inline function shared with the rest
-/// of the program may be compiled for AVX2/AVX-512 here, or the linker could
-/// keep that copy for every caller and run it on a host without the ISA.
+/// instantiation at run time. That is why this header includes no project
+/// header, only <immintrin.h> and the C++ library, and why the template and
+/// its ops live in an anonymous namespace: no inline function shared with
+/// the rest of the program may be compiled for AVX2/AVX-512 here, or the
+/// linker could keep that copy for every caller and run it on a host without
+/// the ISA. Other targets see only the declarations (no <immintrin.h>).
 ///
 /// The kernel draws the deviates of W dies ("lanes") at once: lane l keeps
 /// its xoshiro256++ state in element l of four vector registers, and every
@@ -34,6 +35,7 @@
 // GCC 12's AVX-512 intrinsics pass an uninitialized "undefined" source
 // operand to their builtins and then warn about it (GCC PR 105593, fixed in
 // GCC 13); the warning fires where they are inlined, in the header's lines.
+#if defined(__x86_64__)
 #if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
@@ -41,6 +43,7 @@
 #pragma GCC diagnostic pop
 #else
 #include <immintrin.h>
+#endif
 #endif
 
 #include <cmath>
@@ -65,7 +68,8 @@ struct Job {
   double sigma_v;     ///< VariationModel::sigma_vth_intra_v
   double ref_width;   ///< VariationModel::pelgrom_ref_width_um
   bool pelgrom;       ///< VariationModel::pelgrom_vth_scaling
-  const void* layers; ///< detail::kZiggurat.layer: 256 {u64 accept, double scale}
+  /// detail::kZiggurat.layer: 256 {u64 accept, double scale} pairs
+  const void* layers;
   SlowNormalFn slow;
   double* dl;  ///< gate id's W lanes go to dl[id * stride + 0 .. W)
   double* dv;
@@ -77,6 +81,7 @@ struct Job {
 void draw_avx2(const Job& job);
 void draw_avx512(const Job& job);
 
+#if defined(__x86_64__)
 namespace {
 
 /// xoshiro256++ state of W lanes, word k of every lane in one register.
@@ -184,4 +189,5 @@ void draw_group(const Job& job) {
 }
 
 }  // namespace
+#endif  // __x86_64__
 }  // namespace statleak::lane

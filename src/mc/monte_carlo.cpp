@@ -491,6 +491,7 @@ McResult run_monte_carlo(const Circuit& circuit, const CellLibrary& lib,
   std::vector<std::uint8_t> restored(num_samples, 0);
   std::unique_ptr<CheckpointWriter> writer;
   if (!config.checkpoint_path.empty()) {
+    obs::ScopedTimer io_timer(obs, "mc.checkpoint_io");
     const std::vector<double> widths = device_widths(circuit, lib);
     const std::uint64_t hash =
         mc_checkpoint_hash(circuit, var, config, widths, lib.node());
